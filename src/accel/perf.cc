@@ -49,14 +49,7 @@ InferenceResult::totals() const
 namespace
 {
 
-// ----------------------------------------------------------------
-// SHIFT replay memoization: the replay walks every im2col element, so
-// sensitivity sweeps reuse results across schemes and batch settings.
-// Sharded-mutex caches are shared by all evaluation workers (parallel
-// sweeps and runBatch hit them concurrently).
-// ----------------------------------------------------------------
-
-/** Every layer-shape field the demand/replay/schedule models read. */
+/** Every layer-shape field the demand and schedule models read. */
 std::string
 layerKey(const systolic::ConvLayer &layer)
 {
@@ -67,8 +60,6 @@ layerKey(const systolic::ConvLayer &layer)
         << 'd' << layer.depthwise;
     return key.str();
 }
-
-ShardedCache<systolic::ShiftReplayResult> replay_cache;
 
 // ----------------------------------------------------------------
 // RANDOM array timing, normalized to accelerator cycles.
@@ -148,10 +139,30 @@ randomTiming(const AcceleratorConfig &cfg, const SpmSpec &spec,
     return rt;
 }
 
+/** Scheduler costs of the SHIFT/RANDOM hierarchy under @p rt. */
+compiler::SchedParams
+schedParams(const AcceleratorConfig &cfg, const RandomTiming &rt)
+{
+    compiler::SchedParams sp;
+    sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
+    sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
+    sp.shiftCyclesPerAccess = 1.0 / cfg.inputSpm.banks;
+    sp.randomCyclesPerAccess = rt.busyReadCycles / rt.banks;
+    sp.dramCyclesPerAccess = 1.0 / cfg.dramBytesPerCycle();
+    sp.hrBandwidthBytesPerCycle =
+        rt.banks * rt.lineBytes / rt.busyReadCycles;
+    sp.dramBandwidthBytesPerCycle = cfg.dramBytesPerCycle();
+    sp.prefetchIterations = cfg.prefetchIterations;
+    sp.hasRandomArray = true;
+    return sp;
+}
+
 // ----------------------------------------------------------------
 // ILP schedule memoization: the schedule depends only on the layer
 // shape and the scheduler parameters, so sensitivity sweeps and batch
-// variants reuse solved layers.
+// variants reuse solved layers. The sharded-mutex cache is shared by
+// all evaluation workers (parallel sweeps and runBatch hit it
+// concurrently).
 // ----------------------------------------------------------------
 
 /** Memoized outcome of scheduling one layer. */
@@ -256,10 +267,11 @@ weightDram(const AcceleratorConfig &cfg,
 
 } // namespace
 
-void
-clearReplayCache()
+compiler::SchedParams
+ilpSchedParams(const AcceleratorConfig &cfg)
 {
-    replay_cache.clear();
+    return schedParams(cfg,
+                       randomTiming(cfg, cfg.randomArray, cfg.randomTech));
 }
 
 void
@@ -403,8 +415,6 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
       case Scheme::Smart: {
         const RandomTiming rt =
             randomTiming(cfg, cfg.randomArray, cfg.randomTech);
-        const double pixel_folds =
-            static_cast<double>(m.ofmapPixels) * m.folds() * B;
 
         // The compiler (SMART / the "+p" heuristic) restructures input
         // fetches into memory objects staged through the SHIFT arrays
@@ -413,19 +423,8 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         // exposing per-pixel dependent latency.
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
-            compiler::SchedParams sp;
-            sp.shiftCapacityBytes = ByteCount{cfg.inputSpm.capacityBytes};
-            sp.randomCapacityBytes = ByteCount{cfg.randomArray.capacityBytes};
-            sp.shiftCyclesPerAccess = 1.0 / cfg.inputSpm.banks;
-            sp.randomCyclesPerAccess = rt.busyReadCycles / rt.banks;
-            sp.dramCyclesPerAccess = 1.0 / cfg.dramBytesPerCycle();
-            sp.hrBandwidthBytesPerCycle =
-                rt.banks * rt.lineBytes / rt.busyReadCycles;
-            sp.dramBandwidthBytesPerCycle = cfg.dramBytesPerCycle();
-            sp.prefetchIterations = cfg.prefetchIterations;
-            sp.hasRandomArray = true;
-            const SchedOutcome out =
-                cachedScheduleOutcome(layer, cfg.pe, d, sp, mode);
+            const SchedOutcome out = cachedScheduleOutcome(
+                layer, cfg.pe, d, schedParams(cfg, rt), mode);
             hidden = out.hidden;
             r.schedQuality = out.quality;
             r.schedGapBound = out.gapBound;
@@ -469,7 +468,6 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         const double compute_c =
             static_cast<double>(r.computeCycles);
         const double jit_c = compute_c + jit_tp + jit_lat;
-        (void)pixel_folds;
 
         const double staged_c =
             std::max({stream_c, stage_c, compute_c}) +

@@ -121,8 +121,11 @@ LayerResult runLayer(const AcceleratorConfig &cfg,
                      const systolic::ConvLayer &layer, int batch,
                      SchedMode mode);
 
-/** Clear the internal SHIFT-replay memo cache (tests). */
-void clearReplayCache();
+/**
+ * Scheduler parameters the ILP compiler pass runs with on @p cfg: the
+ * SHIFT/RANDOM capacities and access costs of its memory hierarchy.
+ */
+compiler::SchedParams ilpSchedParams(const AcceleratorConfig &cfg);
 
 /** Clear the internal ILP-schedule memo cache (tests). */
 void clearIlpCache();

@@ -33,17 +33,21 @@ namespace
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /**
- * Dense two-phase simplex over buffers owned by an LpWorkspace. All
- * per-solve state lives in the workspace so repeated solves (the B&B
- * node loop) touch the allocator only when the model grows.
+ * Two-phase simplex over buffers owned by an LpWorkspace. All per-solve
+ * state lives in the workspace so repeated solves (the B&B node loop)
+ * touch the allocator only when the model grows.
  */
 class Tableau
 {
   public:
     Tableau(const Model &model, const SolverOptions &opts,
             LpWorkspace &ws);
+    /** Zeroes the listed cells: the workspace leaves all-zero. */
+    ~Tableau();
+    Tableau(const Tableau &) = delete;
+    Tableau &operator=(const Tableau &) = delete;
 
-    /** Run both phases; returns the LP status. */
+    /** Load the tableau, run both phases; returns the LP status. */
     SolveStatus solve();
 
     /** Structural variable values (unshifted). */
@@ -54,6 +58,28 @@ class Tableau
     int iters() const { return iters_; }
 
   private:
+    /** Write the initial tableau into the (all-zero) buffers. */
+    void load();
+    /**
+     * Add cell (i, j) to the index lists unless already listed. The
+     * mark is set last, so a throwing push_back leaves no marked cell
+     * the destructor cannot find.
+     */
+    void list(int i, int j)
+    {
+        unsigned char &mark =
+            ws_.listed[static_cast<std::size_t>(i) * cols_ + j];
+        if (!mark) {
+            ws_.rowNz[i].push_back(j);
+            ws_.colNz[j].push_back(i);
+            mark = 1;
+        }
+    }
+    void set(int i, int j, double v)
+    {
+        list(i, j);
+        row(i)[j] = v;
+    }
     bool pivotLoop(const std::vector<double> &cost, bool phase1);
     void pivot(int row, int col);
     /** Recompute the full reduced-cost row for the given cost vector. */
@@ -154,30 +180,60 @@ Tableau::Tableau(const Model &model, const SolverOptions &opts,
     first_artificial_ = n_ + slacks;
     cols_ = n_ + slacks + artificials;
 
-    // Fill the flat tableau from the CSR plus slack/artificial columns.
-    ws_.a.assign(static_cast<std::size_t>(m_) * cols_, 0.0);
+    // The buffers only ever grow; what they already hold is all-zero
+    // (workspace invariant), and so are the grown parts.
+    const std::size_t cells = static_cast<std::size_t>(m_) * cols_;
+    if (ws_.a.size() < cells)
+        ws_.a.resize(cells, 0.0);
+    if (ws_.listed.size() < cells)
+        ws_.listed.resize(cells, 0);
+    if (ws_.rowNz.size() < static_cast<std::size_t>(m_))
+        ws_.rowNz.resize(m_);
+    if (ws_.colNz.size() < static_cast<std::size_t>(cols_))
+        ws_.colNz.resize(cols_);
+}
+
+Tableau::~Tableau()
+{
+    for (int i = 0; i < m_; ++i) {
+        double *r = row(i);
+        unsigned char *marks =
+            ws_.listed.data() + static_cast<std::size_t>(i) * cols_;
+        for (int j : ws_.rowNz[i]) {
+            r[j] = 0.0;
+            marks[j] = 0;
+        }
+        ws_.rowNz[i].clear();
+    }
+    for (int j = 0; j < cols_; ++j)
+        ws_.colNz[j].clear();
+}
+
+void
+Tableau::load()
+{
     ws_.rhs.assign(m_, 0.0);
     ws_.basis.assign(m_, 0);
 
+    // Fill from the CSR plus slack/artificial columns.
     int slack_col = n_;
     int art_col = first_artificial_;
     for (int i = 0; i < m_; ++i) {
-        double *r = row(i);
         for (int k = ws_.csrRowPtr[i]; k < ws_.csrRowPtr[i + 1]; ++k)
-            r[ws_.csrCols[k]] = ws_.csrVals[k];
+            set(i, ws_.csrCols[k], ws_.csrVals[k]);
         ws_.rhs[i] = ws_.rowRhs[i];
         switch (static_cast<Sense>(ws_.rowSense[i])) {
           case Sense::Le:
-            r[slack_col] = 1.0;
+            set(i, slack_col, 1.0);
             ws_.basis[i] = slack_col++;
             break;
           case Sense::Ge:
-            r[slack_col++] = -1.0;
-            r[art_col] = 1.0;
+            set(i, slack_col++, -1.0);
+            set(i, art_col, 1.0);
             ws_.basis[i] = art_col++;
             break;
           case Sense::Eq:
-            r[art_col] = 1.0;
+            set(i, art_col, 1.0);
             ws_.basis[i] = art_col++;
             break;
         }
@@ -194,7 +250,7 @@ Tableau::computeReducedRow(const std::vector<double> &cost)
         if (cb == 0.0)
             continue;
         const double *r = row(i);
-        for (int j = 0; j < cols_; ++j)
+        for (int j : ws_.rowNz[i])
             red[j] -= cb * r[j];
     }
 }
@@ -203,19 +259,25 @@ void
 Tableau::pivot(int prow_idx, int col)
 {
     double *prow = row(prow_idx);
+    const std::vector<int> &pcols = ws_.rowNz[prow_idx];
     const double p = prow[col];
-    for (int j = 0; j < cols_; ++j)
+    for (int j : pcols)
         prow[j] /= p;
     ws_.rhs[prow_idx] /= p;
-    for (int i = 0; i < m_; ++i) {
+    // Fill-in appends to rowNz[i] (i != prow_idx) and to colNz[j] for
+    // cells not yet listed, never to colNz[col]: every row walked here
+    // already lists col.
+    for (int i : ws_.colNz[col]) {
         if (i == prow_idx)
             continue;
         double *r = row(i);
         const double f = r[col];
         if (f == 0.0)
             continue;
-        for (int j = 0; j < cols_; ++j)
+        for (int j : pcols) {
+            list(i, j);
             r[j] -= f * prow[j];
+        }
         ws_.rhs[i] -= f * ws_.rhs[prow_idx];
         // Clamp tiny negative residues from cancellation.
         if (ws_.rhs[i] < 0 && ws_.rhs[i] > -opts_.eps)
@@ -254,10 +316,13 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         if (enter < 0)
             return true; // optimal for this phase
 
-        // Ratio test (Bland tie-break on basis index).
+        // Ratio test (Bland tie-break on basis index). The eps ties
+        // depend on visiting order, so walk the column's rows sorted.
         int leave = -1;
         double best_ratio = kInf;
-        for (int i = 0; i < m_; ++i) {
+        std::vector<int> &erows = ws_.colNz[enter];
+        std::sort(erows.begin(), erows.end());
+        for (int i : erows) {
             const double aie = row(i)[enter];
             if (aie > opts_.eps) {
                 const double ratio = ws_.rhs[i] / aie;
@@ -280,7 +345,7 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         // Update reduced costs against the normalized pivot row.
         const double re = red[enter];
         const double *prow = row(leave);
-        for (int j = 0; j < cols_; ++j)
+        for (int j : ws_.rowNz[leave])
             red[j] -= re * prow[j];
         red[enter] = 0.0;
 
@@ -301,6 +366,8 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
 SolveStatus
 Tableau::solve()
 {
+    load();
+
     // Phase 1: maximize -sum(artificials).
     if (first_artificial_ < cols_) {
         ws_.cost.assign(cols_, 0.0);
@@ -314,17 +381,17 @@ Tableau::solve()
                 infeas += ws_.rhs[i];
         if (infeas > 1e-7)
             return SolveStatus::Infeasible;
-        // Drive remaining zero-level artificials out of the basis.
+        // Drive remaining zero-level artificials out of the basis with
+        // the lowest structural/slack column that can pivot.
         for (int i = 0; i < m_; ++i) {
             if (ws_.basis[i] < first_artificial_)
                 continue;
             int repl = -1;
             const double *r = row(i);
-            for (int j = 0; j < first_artificial_; ++j) {
-                if (std::fabs(r[j]) > opts_.eps) {
+            for (int j : ws_.rowNz[i]) {
+                if (j < first_artificial_ && (repl < 0 || j < repl) &&
+                    std::fabs(r[j]) > opts_.eps)
                     repl = j;
-                    break;
-                }
             }
             if (repl >= 0)
                 pivot(i, repl);

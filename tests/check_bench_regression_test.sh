@@ -7,7 +7,8 @@
 # single-line, and newline-less histories) must pass cleanly and say
 # so; comparable lines must pass when flat, fail on a wall-time
 # regression, fail on a >10-point ratio drop, and tolerate a small
-# ratio dip; host-stamp mismatches must skip rather than judge.
+# ratio dip; host-stamp mismatches must skip rather than judge. Work
+# counts fail on any rise, on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -109,6 +110,30 @@ check "host mismatch skips the wall-time gate" 0 "$tmp/hosts.jsonl" 25
     line hostB bbbb 5.0 5.0 0.9 0.5
 } > "$tmp/hostsratio.jsonl"
 check "ratio drop still fails across hosts" 1 "$tmp/hostsratio.jsonl" 25
+
+# --- work counts: any rise fails, on any host ------------------------
+counts() {
+    # History line for host "$1" with knapsack-batch counts "$2"/"$3".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"ilp_bnb_batch_nodes": %s, "ilp_bnb_batch_pivots": %s}}}\n' \
+        "$1" "$2" "$3"
+}
+{
+    counts hostA 400 9000
+    counts hostA 400 8000
+} > "$tmp/countsdown.jsonl"
+check "falling pivot count passes" 0 "$tmp/countsdown.jsonl" 25
+
+{
+    counts hostA 400 9000
+    counts hostA 400 9001
+} > "$tmp/countsup.jsonl"
+check "rising pivot count fails" 1 "$tmp/countsup.jsonl" 25
+
+{
+    counts hostA 400 9000
+    counts hostB 401 9000
+} > "$tmp/countshosts.jsonl"
+check "rising node count fails across hosts" 1 "$tmp/countshosts.jsonl" 25
 
 # --- boot stamps: a hostname alone is not a machine identity --------
 {

@@ -1,19 +1,96 @@
 /**
  * @file
  * Tests for the LP simplex: textbook problems, degeneracy, bounds,
- * infeasibility, unboundedness.
+ * infeasibility, unboundedness, and workspace reuse.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 
+#include "common/rng.hh"
 #include "ilp/simplex.hh"
 
 namespace
 {
 
 using namespace smart::ilp;
+
+/**
+ * Random bounded LP with every constraint sense, built around a known
+ * feasible point so phase 1 always has work (Ge/Eq rows, negative rhs)
+ * and phase 2 an optimum. Each row touches a few of the variables.
+ */
+Model
+randomLp(int vars, int rows, std::uint64_t seed)
+{
+    smart::Rng rng(seed);
+    Model m;
+    std::vector<Var> x;
+    std::vector<double> x0;
+    for (int j = 0; j < vars; ++j) {
+        const double lb = j % 3 == 0 ? -2.0 : 0.0;
+        x.push_back(m.addVar(lb, lb + 1.0 + 9.0 * rng.uniform(),
+                             VarType::Continuous));
+        x0.push_back(lb + 0.5 * rng.uniform());
+    }
+    for (int i = 0; i < rows; ++i) {
+        LinExpr e;
+        double at_x0 = 0.0;
+        for (int k = 0; k < 4; ++k) {
+            const int j = static_cast<int>(rng.uniform() * vars) % vars;
+            const double c = rng.uniform(-3.0, 3.0);
+            e.add(x[j], c);
+            at_x0 += c * x0[j];
+        }
+        const Sense sense = static_cast<Sense>(i % 3);
+        const double slack = sense == Sense::Eq ? 0.0 : rng.uniform();
+        m.addConstr(e, sense,
+                    sense == Sense::Ge ? at_x0 - slack : at_x0 + slack);
+    }
+    LinExpr obj;
+    for (int j = 0; j < vars; ++j)
+        obj.add(x[j], rng.uniform(-1.0, 2.0));
+    m.setObjective(obj, true);
+    return m;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t b;
+    std::memcpy(&b, &v, sizeof b);
+    return b;
+}
+
+/** Bitwise equality: same status, pivots, objective and values. */
+void
+expectSameBits(const Solution &a, const Solution &b)
+{
+    EXPECT_EQ(a.status, b.status);
+    EXPECT_EQ(a.simplexIters, b.simplexIters);
+    EXPECT_EQ(bitsOf(a.objective), bitsOf(b.objective));
+    ASSERT_EQ(a.values.size(), b.values.size());
+    for (std::size_t j = 0; j < a.values.size(); ++j)
+        EXPECT_EQ(bitsOf(a.values[j]), bitsOf(b.values[j])) << "var " << j;
+}
+
+/** The workspace invariant: tableau and list marks zero, lists empty. */
+void
+expectClean(const LpWorkspace &ws)
+{
+    EXPECT_TRUE(std::all_of(ws.a.begin(), ws.a.end(),
+                            [](double v) { return v == 0.0; }));
+    EXPECT_TRUE(std::all_of(ws.listed.begin(), ws.listed.end(),
+                            [](unsigned char c) { return c == 0; }));
+    for (const auto &l : ws.rowNz)
+        EXPECT_TRUE(l.empty());
+    for (const auto &l : ws.colNz)
+        EXPECT_TRUE(l.empty());
+}
 
 TEST(Simplex, TextbookMaximization)
 {
@@ -182,6 +259,42 @@ TEST(Simplex, DuplicateTermsWithShiftedLowerBound)
     Solution s = solveLp(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
     EXPECT_NEAR(s.objective, 5.0, 1e-9);
+}
+
+TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
+{
+    // One workspace through a large model, a smaller one, an
+    // infeasible one (early return after phase 1), an iteration-
+    // limited one, then the large model again: each solve must match
+    // a fresh-workspace solve bit for bit and leave the buffers zero.
+    const Model large = randomLp(60, 45, 7);
+    const Model small = randomLp(12, 9, 8);
+    Model infeasible = randomLp(20, 15, 9);
+    infeasible.addConstr(LinExpr(Var{0}), Sense::Ge,
+                         infeasible.ub(0) + 1.0);
+    SolverOptions limited;
+    limited.maxIters = 5;
+
+    struct Case
+    {
+        const Model *model;
+        SolverOptions opts;
+        SolveStatus expect;
+    };
+    const Case cases[] = {
+        {&large, {}, SolveStatus::Optimal},
+        {&small, {}, SolveStatus::Optimal},
+        {&infeasible, {}, SolveStatus::Infeasible},
+        {&large, limited, SolveStatus::IterLimit},
+        {&large, {}, SolveStatus::Optimal},
+    };
+    LpWorkspace ws;
+    for (const Case &c : cases) {
+        const Solution reused = solveLp(*c.model, c.opts, ws);
+        EXPECT_EQ(reused.status, c.expect);
+        expectSameBits(reused, solveLp(*c.model, c.opts));
+        expectClean(ws);
+    }
 }
 
 } // namespace

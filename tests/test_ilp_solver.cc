@@ -135,6 +135,10 @@ class RandomIlpSweep : public ::testing::TestWithParam<int>
 {
 };
 
+/** Total simplex pivots of each seed's B&B solve. */
+constexpr int kSweepPivots[12] = {90, 63, 58, 71, 112, 128,
+                                  123, 59, 73, 109, 44, 187};
+
 TEST_P(RandomIlpSweep, MatchesBruteForce)
 {
     Rng rng(1000 + GetParam());
@@ -161,6 +165,9 @@ TEST_P(RandomIlpSweep, MatchesBruteForce)
     m.setObjective(obj, true);
     Solution s = solve(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
+    // Pivot counts pin the simplex's pivot sequence: a faster pivot
+    // must not change which pivots happen.
+    EXPECT_EQ(s.simplexIters, kSweepPivots[GetParam()]);
 
     double best = 0.0;
     for (int mask = 0; mask < (1 << n); ++mask) {
