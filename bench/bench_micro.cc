@@ -10,7 +10,9 @@
  * timings to BENCH_micro.json, seeding the perf trajectory. The
  * figure-grid timings are per-loop medians over several cold runs
  * (with a max-min spread metric characterizing run-to-run variance),
- * and the report carries the scheduler's task/steal counters.
+ * and the report carries the scheduler's task/steal counters, the
+ * schedule-memo entry count of one cold single-image grid and the
+ * median warm-memo re-run time of that grid.
  * SMART_THREADS controls the worker count in both modes.
  */
 
@@ -239,6 +241,23 @@ jsonMain(int argc, char **argv)
     metrics.push_back(
         {"figure_grid_sched_steals",
          static_cast<double>(schedGrid1.steals - schedGrid0.steals)});
+
+    // Schedule-memo shape of the single-image grid: the entry count
+    // after one cold pass (deterministic at any thread count; a rise
+    // means a key change split layers that share a schedule), then the
+    // median wall time of re-running the grid with the memo full.
+    const auto singleGrid = bench::figureGrid(false);
+    accel::clearIlpCache();
+    accel::runBatch(singleGrid);
+    metrics.push_back({"figure_grid_memo_entries",
+                       static_cast<double>(accel::ilpCacheSize())});
+    std::vector<double> warmMs;
+    for (int loop = 0; loop < 5; ++loop) {
+        timer.reset();
+        accel::runBatch(singleGrid);
+        warmMs.push_back(timer.ms());
+    }
+    metrics.push_back({"figure_grid_warm_ms", medianOf(warmMs)});
 
     timer.reset();
     cryo::CmosSfqArrayConfig base;

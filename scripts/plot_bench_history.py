@@ -30,6 +30,7 @@ FAMILIES = {
         "metrics": [
             "figure_grid_single_ms",
             "figure_grid_batch_ms",
+            "figure_grid_warm_ms",
             "serve_replay_cold_ms",
             "serve_replay_warm_ms",
             "serve_mt_replay_cold_ms",

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
+#include <cstring>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -48,18 +48,6 @@ InferenceResult::totals() const
 
 namespace
 {
-
-/** Every layer-shape field the demand and schedule models read. */
-std::string
-layerKey(const systolic::ConvLayer &layer)
-{
-    std::ostringstream key;
-    key << layer.ifmapH << 'x' << layer.ifmapW << 'x' << layer.inChannels
-        << 'f' << layer.filters << 'k' << layer.kernelH << 'x'
-        << layer.kernelW << 's' << layer.stride << 'p' << layer.pad
-        << 'd' << layer.depthwise;
-    return key.str();
-}
 
 // ----------------------------------------------------------------
 // RANDOM array timing, normalized to accelerator cycles.
@@ -157,6 +145,34 @@ schedParams(const AcceleratorConfig &cfg, const RandomTiming &rt)
     return sp;
 }
 
+/**
+ * What runLayer derives from the configuration alone: built once per
+ * runInference and shared by all of its layers.
+ */
+struct ConfigCosts
+{
+    /** Input SPM timing (Sram) or RANDOM array timing (Heter+). */
+    RandomTiming rt;
+    compiler::SchedParams sp; //!< Set when the ILP compiler runs.
+    std::string schedKey;     //!< sp.cacheKey(), formatted once.
+};
+
+ConfigCosts
+configCosts(const AcceleratorConfig &cfg)
+{
+    ConfigCosts c;
+    if (cfg.scheme == Scheme::Tpu || cfg.scheme == Scheme::SuperNpu)
+        return c;
+    const bool sram = cfg.scheme == Scheme::Sram;
+    c.rt = randomTiming(cfg, sram ? cfg.inputSpm : cfg.randomArray,
+                        cfg.randomTech);
+    if (!sram && cfg.useIlpCompiler) {
+        c.sp = schedParams(cfg, c.rt);
+        c.schedKey = c.sp.cacheKey();
+    }
+    return c;
+}
+
 // ----------------------------------------------------------------
 // ILP schedule memoization: the schedule depends only on the layer
 // shape and the scheduler parameters, so sensitivity sweeps and batch
@@ -178,18 +194,26 @@ ShardedCache<SchedOutcome> ilp_cache;
 SchedOutcome
 cachedScheduleOutcome(const systolic::ConvLayer &layer,
                       const systolic::ArrayDims &pe,
-                      const LayerDemand &d,
-                      const compiler::SchedParams &sp, SchedMode mode)
+                      const LayerDemand &d, const ConfigCosts &costs,
+                      SchedMode mode)
 {
     // The key must cover the full layer shape, the PE array the demand
     // was analyzed against, every SchedParams field, and the compiler
     // pass requested: the scheduler's costs read all of them, and a
     // sweep that mutates e.g. the staging bandwidth — or a degraded
     // request forcing the greedy pass — must not alias a cached entry.
-    const std::string key =
-        layerKey(layer) + '|' + std::to_string(pe.rows) + 'x' +
-        std::to_string(pe.cols) + '|' + sp.cacheKey() +
-        (mode == SchedMode::Greedy ? "|greedy" : "");
+    // The nine shape fields and the PE dims go in as fixed-width ints,
+    // so the prefix is injective; the SchedParams key (formatted once
+    // per inference) follows verbatim.
+    const int shape[] = {layer.ifmapH,  layer.ifmapW,  layer.inChannels,
+                         layer.filters, layer.kernelH, layer.kernelW,
+                         layer.stride,  layer.pad,     layer.depthwise,
+                         pe.rows,       pe.cols};
+    std::string key(sizeof shape, '\0');
+    std::memcpy(key.data(), shape, sizeof shape);
+    key += costs.schedKey;
+    if (mode == SchedMode::Greedy)
+        key += "|greedy";
     const std::uint64_t traceId = TraceRecorder::currentTrace();
     bool computed = false;
     SchedOutcome out = ilp_cache.getOrCompute(key, [&]() {
@@ -201,9 +225,10 @@ cachedScheduleOutcome(const systolic::ConvLayer &layer,
                                      ? "schedule_greedy"
                                      : "schedule_ilp");
         compiler::LayerDag dag = compiler::buildLayerDag(layer, d);
-        compiler::Schedule sched = mode == SchedMode::Greedy
-                                       ? compiler::scheduleGreedy(dag, sp)
-                                       : compiler::scheduleIlp(dag, sp);
+        compiler::Schedule sched =
+            mode == SchedMode::Greedy
+                ? compiler::scheduleGreedy(dag, costs.sp)
+                : compiler::scheduleIlp(dag, costs.sp);
         SchedOutcome out;
         out.hidden = sched.prefetchedFraction(dag);
         out.quality = sched.quality;
@@ -280,16 +305,18 @@ clearIlpCache()
     ilp_cache.clear();
 }
 
-LayerResult
-runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
-         int batch)
+std::size_t
+ilpCacheSize()
 {
-    return runLayer(cfg, layer, batch, SchedMode::Ilp);
+    return ilp_cache.size();
 }
 
+namespace
+{
+
 LayerResult
-runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
-         int batch, SchedMode mode)
+runLayerWith(const AcceleratorConfig &cfg, const ConfigCosts &costs,
+             const systolic::ConvLayer &layer, int batch, SchedMode mode)
 {
     smart_assert(batch >= 1, "batch must be >= 1");
     const LayerDemand d = systolic::analyzeDemand(layer, cfg.pe);
@@ -376,8 +403,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         // (Sec. 4.1) — the dependent access latency of one fetch round
         // per ofmap pixel per fold. The paper's Fig. 5(a) latency
         // dominance comes from the second term.
-        const RandomTiming rt =
-            randomTiming(cfg, cfg.inputSpm, cfg.randomTech);
+        const RandomTiming &rt = costs.rt;
         const double pixel_folds =
             static_cast<double>(m.ofmapPixels) * m.folds() * B;
 
@@ -413,8 +439,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
       case Scheme::Heter:
       case Scheme::Pipe:
       case Scheme::Smart: {
-        const RandomTiming rt =
-            randomTiming(cfg, cfg.randomArray, cfg.randomTech);
+        const RandomTiming &rt = costs.rt;
 
         // The compiler (SMART / the "+p" heuristic) restructures input
         // fetches into memory objects staged through the SHIFT arrays
@@ -423,8 +448,8 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
         // exposing per-pixel dependent latency.
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
-            const SchedOutcome out = cachedScheduleOutcome(
-                layer, cfg.pe, d, schedParams(cfg, rt), mode);
+            const SchedOutcome out =
+                cachedScheduleOutcome(layer, cfg.pe, d, costs, mode);
             hidden = out.hidden;
             r.schedQuality = out.quality;
             r.schedGapBound = out.gapBound;
@@ -518,11 +543,13 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
     return r;
 }
 
-InferenceResult
-runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
-             int batch)
+} // namespace
+
+LayerResult
+runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
+         int batch, SchedMode mode)
 {
-    return runInference(cfg, model, batch, SchedMode::Ilp);
+    return runLayerWith(cfg, configCosts(cfg), layer, batch, mode);
 }
 
 InferenceResult
@@ -550,9 +577,11 @@ runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
     // parallel results are bit-identical to a serial loop. Nested
     // under runBatch's per-item tasks this is real parallelism now,
     // not the inlined-serial collapse of the fixed-wave pool.
+    const ConfigCosts costs = configCosts(cfg);
     res.layers.resize(model.layers.size());
     pFor(model.layers.size(), [&](std::size_t i) {
-        res.layers[i] = runLayer(cfg, model.layers[i], batch, mode);
+        res.layers[i] =
+            runLayerWith(cfg, costs, model.layers[i], batch, mode);
     });
     for (const auto &lr : res.layers) {
         res.totalCycles += lr.totalCycles;

@@ -14,6 +14,7 @@
 #ifndef SMART_ACCEL_PERF_HH
 #define SMART_ACCEL_PERF_HH
 
+#include <cstddef>
 #include <vector>
 
 #include "accel/config.hh"
@@ -103,23 +104,18 @@ enum class SchedMode
     Greedy
 };
 
-/** Run one model at the given batch size on a configuration. */
-InferenceResult runInference(const AcceleratorConfig &cfg,
-                             const cnn::CnnModel &model, int batch);
-
-/** Same, with an explicit scheduling mode (degraded serving). */
+/**
+ * Run one model at the given batch size on a configuration; @p mode
+ * selects the scheduling pass (Greedy for degraded serving).
+ */
 InferenceResult runInference(const AcceleratorConfig &cfg,
                              const cnn::CnnModel &model, int batch,
-                             SchedMode mode);
+                             SchedMode mode = SchedMode::Ilp);
 
 /** Run a single layer (exposed for tests and benches). */
 LayerResult runLayer(const AcceleratorConfig &cfg,
-                     const systolic::ConvLayer &layer, int batch);
-
-/** Same, with an explicit scheduling mode. */
-LayerResult runLayer(const AcceleratorConfig &cfg,
                      const systolic::ConvLayer &layer, int batch,
-                     SchedMode mode);
+                     SchedMode mode = SchedMode::Ilp);
 
 /**
  * Scheduler parameters the ILP compiler pass runs with on @p cfg: the
@@ -129,6 +125,9 @@ compiler::SchedParams ilpSchedParams(const AcceleratorConfig &cfg);
 
 /** Clear the internal ILP-schedule memo cache (tests). */
 void clearIlpCache();
+
+/** Entries in the ILP-schedule memo cache (tests and CI counters). */
+std::size_t ilpCacheSize();
 
 } // namespace smart::accel
 

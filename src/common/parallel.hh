@@ -20,6 +20,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -51,23 +52,23 @@ class ShardedCache
     Value getOrCompute(const std::string &key, Make &&make)
     {
         Shard &shard = shardOf(key);
-        std::promise<Value> promise;
+        // The promise (and its heap-allocated shared state) exists only
+        // on a miss: a hit costs one lock and one lookup.
+        std::optional<std::promise<Value>> promise;
         std::shared_future<Value> fut;
-        bool compute = false;
         {
             LockGuard lock(shard.mu);
             auto it = shard.map.find(key);
             if (it == shard.map.end()) {
-                fut = promise.get_future().share();
+                fut = promise.emplace().get_future().share();
                 shard.map.emplace(key, fut);
-                compute = true;
             } else {
                 fut = it->second;
             }
         }
-        if (compute) {
+        if (promise) {
             try {
-                promise.set_value(make());
+                promise->set_value(make());
             } catch (...) {
                 // Drop the failed entry so later calls retry, then
                 // deliver the error to anyone already waiting.
@@ -75,7 +76,7 @@ class ShardedCache
                     LockGuard lock(shard.mu);
                     shard.map.erase(key);
                 }
-                promise.set_exception(std::current_exception());
+                promise->set_exception(std::current_exception());
             }
         }
         return fut.get();

@@ -57,22 +57,24 @@ inputAddr(const ConvLayer &layer, const WindowElem &e, int oh, int ow,
                layer.inChannels + c;
 }
 
-/** Count of valid (in-bounds) ofmap positions for one kernel offset. */
+/**
+ * Valid (offset, output) pairs along one axis: the sum over kernel
+ * offsets k of the output positions o in [0, out) whose input
+ * coordinate o * stride - pad + k lies in [0, in), each in O(1).
+ */
 std::uint64_t
-validPixels(const ConvLayer &layer, int kr, int ks)
+validAlongAxis(int out, int in, int kernel, int stride, int pad)
 {
-    std::uint64_t count = 0;
-    for (int oh = 0; oh < layer.ofmapH(); ++oh) {
-        const int ih = oh * layer.stride - layer.pad + kr;
-        if (ih < 0 || ih >= layer.ifmapH)
-            continue;
-        for (int ow = 0; ow < layer.ofmapW(); ++ow) {
-            const int iw = ow * layer.stride - layer.pad + ks;
-            if (iw >= 0 && iw < layer.ifmapW)
-                ++count;
-        }
+    std::uint64_t valid = 0;
+    for (int k = 0; k < kernel; ++k) {
+        const int off = pad - k;
+        const int top = in - 1 + off; // o * stride <= top
+        const int lo = off > 0 ? (off + stride - 1) / stride : 0;
+        const int hi = top < 0 ? 0 : std::min(out, top / stride + 1);
+        if (hi > lo)
+            valid += static_cast<std::uint64_t>(hi - lo);
     }
-    return count;
+    return valid;
 }
 
 } // namespace
@@ -85,11 +87,14 @@ analyzeDemand(const ConvLayer &layer, const ArrayDims &pe)
 
     // Valid input element reads: padding positions deliver zeros without
     // touching the SPM. Each kernel offset (kr, ks) contributes its
-    // in-bounds pixel count once per channel per column fold.
-    std::uint64_t valid_per_channel = 0;
-    for (int kr = 0; kr < layer.kernelH; ++kr)
-        for (int ks = 0; ks < layer.kernelW; ++ks)
-            valid_per_channel += validPixels(layer, kr, ks);
+    // in-bounds pixel count rows(kr) * cols(ks) once per channel per
+    // column fold, so the sum over offsets separates into
+    // (sum_kr rows(kr)) * (sum_ks cols(ks)): O(Kh + Kw).
+    const std::uint64_t valid_per_channel =
+        validAlongAxis(layer.ofmapH(), layer.ifmapH, layer.kernelH,
+                       layer.stride, layer.pad) *
+        validAlongAxis(layer.ofmapW(), layer.ifmapW, layer.kernelW,
+                       layer.stride, layer.pad);
 
     // Depthwise folds walk one channel each (colFolds == channels), so
     // every channel streams exactly once; dense layers re-stream all

@@ -44,7 +44,13 @@ struct LayerDemand
     std::uint64_t psumReads = 0;        //!< Partial-sum re-reads.
 };
 
-/** Compute the closed-form demand of one layer on one PE array. */
+/**
+ * Compute the closed-form demand of one layer on one PE array. The
+ * valid (non-padding) input reads are separable: the in-bounds count of
+ * kernel offset (kr, ks) is rows(kr) * cols(ks), so the sum over all
+ * offsets is (sum_kr rows(kr)) * (sum_ks cols(ks)), with each span in
+ * O(1). The whole call costs O(Kh + Kw).
+ */
 LayerDemand analyzeDemand(const ConvLayer &layer, const ArrayDims &pe);
 
 /** Parameters of a mechanistic SHIFT replay. */

@@ -8,7 +8,8 @@
 # so; comparable lines must pass when flat, fail on a wall-time
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
-# counts fail on any rise, on any host.
+# counts (solver work and figure-grid memo entries) fail on any rise,
+# on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -134,6 +135,24 @@ check "rising pivot count fails" 1 "$tmp/countsup.jsonl" 25
     counts hostB 401 9000
 } > "$tmp/countshosts.jsonl"
 check "rising node count fails across hosts" 1 "$tmp/countshosts.jsonl" 25
+
+memo() {
+    # History line for host "$1" with figure-grid memo entries "$2".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"figure_grid_memo_entries": %s}}}\n' \
+        "$1" "$2"
+}
+{
+    memo hostA 102
+    memo hostA 102
+} > "$tmp/memoflat.jsonl"
+check "flat memo entry count passes" 0 "$tmp/memoflat.jsonl" 25
+
+{
+    memo hostA 102
+    memo hostB 103
+} > "$tmp/memoup.jsonl"
+check "rising memo entry count fails across hosts" 1 \
+      "$tmp/memoup.jsonl" 25
 
 # --- boot stamps: a hostname alone is not a machine identity --------
 {

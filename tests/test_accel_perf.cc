@@ -171,6 +171,82 @@ TEST(Perf, DepthwiseUtilizationIsPoor)
     EXPECT_LT(r.utilization(cfg), 0.05);
 }
 
+TEST(Perf, MemoKeyAliasesNothing)
+{
+    // Every input the schedule reads must split the memo: each variant
+    // differs from the base in exactly one field and must add exactly
+    // one entry, so no variant aliases the base or an earlier variant.
+    const systolic::ConvLayer base =
+        systolic::ConvLayer::conv("c", 14, 14, 16, 32, 3);
+    const AcceleratorConfig base_cfg = makeSmart();
+    clearIlpCache();
+    runLayer(base_cfg, base, 1);
+    ASSERT_EQ(ilpCacheSize(), 1u);
+    runLayer(base_cfg, base, 1);
+    EXPECT_EQ(ilpCacheSize(), 1u) << "re-running the base layer";
+
+    auto expect_new_entry = [](const AcceleratorConfig &cfg,
+                               const systolic::ConvLayer &layer,
+                               SchedMode mode, const char *what) {
+        const std::size_t before = ilpCacheSize();
+        runLayer(cfg, layer, 1, mode);
+        EXPECT_EQ(ilpCacheSize(), before + 1) << what;
+    };
+    using Field = int systolic::ConvLayer::*;
+    const std::pair<Field, const char *> fields[] = {
+        {&systolic::ConvLayer::ifmapH, "ifmapH"},
+        {&systolic::ConvLayer::ifmapW, "ifmapW"},
+        {&systolic::ConvLayer::inChannels, "inChannels"},
+        {&systolic::ConvLayer::filters, "filters"},
+        {&systolic::ConvLayer::kernelH, "kernelH"},
+        {&systolic::ConvLayer::kernelW, "kernelW"},
+        {&systolic::ConvLayer::stride, "stride"},
+        {&systolic::ConvLayer::pad, "pad"},
+    };
+    for (const auto &[field, what] : fields) {
+        systolic::ConvLayer l = base;
+        l.*field += 1;
+        expect_new_entry(base_cfg, l, SchedMode::Ilp, what);
+    }
+    systolic::ConvLayer dw = base;
+    dw.depthwise = true;
+    expect_new_entry(base_cfg, dw, SchedMode::Ilp, "depthwise");
+
+    const std::pair<void (*)(AcceleratorConfig &), const char *>
+        cfg_variants[] = {
+            {[](AcceleratorConfig &c) { c.pe.rows = 32; }, "pe.rows"},
+            {[](AcceleratorConfig &c) { c.pe.cols = 128; }, "pe.cols"},
+            {[](AcceleratorConfig &c) { c.randomArray.capacityBytes /= 2; },
+             "RANDOM capacity"},
+            {[](AcceleratorConfig &c) { c.inputSpm.capacityBytes /= 2; },
+             "SHIFT capacity"},
+            {[](AcceleratorConfig &c) { c.randomArray.banks /= 2; },
+             "RANDOM banks"},
+            {[](AcceleratorConfig &c) { c.inputSpm.banks /= 2; },
+             "SHIFT banks"},
+            {[](AcceleratorConfig &c) { c.prefetchIterations = 2; },
+             "prefetchIterations"},
+            {[](AcceleratorConfig &c) { c.dramBandwidthGBs = 150.0; },
+             "DRAM bandwidth"},
+        };
+    for (const auto &[mutate, what] : cfg_variants) {
+        AcceleratorConfig cfg = base_cfg;
+        mutate(cfg);
+        expect_new_entry(cfg, base, SchedMode::Ilp, what);
+    }
+    expect_new_entry(base_cfg, base, SchedMode::Greedy, "SchedMode");
+
+    // The scheduler reads RANDOM read timing only, so a write-latency
+    // override (Fig. 25) must share the base layer's schedule rather
+    // than split the memo.
+    AcceleratorConfig slow_write = base_cfg;
+    slow_write.randomWriteLatencyNsOverride = Nanoseconds{3.0};
+    const std::size_t before = ilpCacheSize();
+    runLayer(slow_write, base, 1);
+    EXPECT_EQ(ilpCacheSize(), before) << "write-latency override";
+    clearIlpCache();
+}
+
 /** Parameterized per-model smoke: every scheme completes. */
 class SchemeModelSweep
     : public ::testing::TestWithParam<std::tuple<int, std::string>>

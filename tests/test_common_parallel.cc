@@ -14,6 +14,7 @@
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "common/parallel.hh"
@@ -198,6 +199,39 @@ TEST(ShardedCache, ComputesOncePerKey)
     EXPECT_EQ(cache.size(), 0u);
     EXPECT_EQ(cache.getOrCompute("k", make), 5);
     EXPECT_EQ(computes.load(), 2);
+}
+
+TEST(ShardedCache, ThrowDropsEntryAndRetries)
+{
+    ShardedCache<int> cache;
+    EXPECT_THROW(cache.getOrCompute(
+                     "k", []() -> int { throw std::runtime_error("x"); }),
+                 std::runtime_error);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.getOrCompute("k", []() { return 7; }), 7);
+    EXPECT_EQ(cache.size(), 1u);
+}
+
+TEST(ShardedCache, ConcurrentCallersShareOneCompute)
+{
+    // Whichever caller misses computes; the others wait on its result.
+    ShardedCache<int> cache;
+    std::atomic<int> computes{0};
+    auto make = [&]() {
+        computes.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        return 9;
+    };
+    std::vector<std::thread> threads;
+    std::vector<int> got(4, 0);
+    for (std::size_t t = 0; t < got.size(); ++t)
+        threads.emplace_back(
+            [&, t]() { got[t] = cache.getOrCompute("k", make); });
+    for (auto &th : threads)
+        th.join();
+    EXPECT_EQ(computes.load(), 1);
+    for (int v : got)
+        EXPECT_EQ(v, 9);
 }
 
 LruCache<int>::Config

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "cnn/models.hh"
 #include "systolic/trace.hh"
 
 namespace
@@ -14,6 +15,47 @@ namespace
 
 using namespace smart;
 using namespace smart::systolic;
+
+/**
+ * Reference valid-read count: walk every ofmap position for every
+ * kernel offset, exactly as the per-offset demand model was defined.
+ */
+std::uint64_t
+bruteForceInputReads(const ConvLayer &l, const ArrayDims &pe)
+{
+    std::uint64_t valid = 0;
+    for (int kr = 0; kr < l.kernelH; ++kr)
+        for (int ks = 0; ks < l.kernelW; ++ks)
+            for (int oh = 0; oh < l.ofmapH(); ++oh)
+                for (int ow = 0; ow < l.ofmapW(); ++ow) {
+                    const int ih = oh * l.stride - l.pad + kr;
+                    const int iw = ow * l.stride - l.pad + ks;
+                    if (ih >= 0 && ih < l.ifmapH && iw >= 0 &&
+                        iw < l.ifmapW)
+                        ++valid;
+                }
+    const std::uint64_t folds =
+        l.depthwise ? 1 : mapLayer(l, pe).colFolds;
+    return valid * l.inChannels * folds;
+}
+
+ConvLayer
+rectLayer(int h, int w, int kh, int kw, int stride, int pad,
+          bool depthwise)
+{
+    ConvLayer l;
+    l.name = "r";
+    l.ifmapH = h;
+    l.ifmapW = w;
+    l.inChannels = 3;
+    l.filters = depthwise ? 0 : 300;
+    l.kernelH = kh;
+    l.kernelW = kw;
+    l.stride = stride;
+    l.pad = pad;
+    l.depthwise = depthwise;
+    return l;
+}
 
 TEST(Demand, NoPaddingMeansExactCounts)
 {
@@ -52,6 +94,48 @@ TEST(Demand, PsumTrafficOnlyWithRowFolds)
     EXPECT_GT(d.mapping.rowFolds, 1u);
     EXPECT_EQ(d.psumReads,
               d.outputUniqueBytes * (d.mapping.rowFolds - 1));
+}
+
+TEST(Demand, ClosedFormMatchesPerOffsetWalk)
+{
+    // Pad 0 up to pad > kernel, stride up to beyond the kernel,
+    // rectangular kernels (1xK, Kx1) and ifmaps, dense and depthwise.
+    const ArrayDims pe{16, 128};
+    int checked = 0;
+    for (int h : {1, 5, 8})
+        for (int w : {1, 6, 9})
+            for (int kh : {1, 2, 3, 5})
+                for (int kw : {1, 3, 4})
+                    for (int stride : {1, 2, 3, 6})
+                        for (int pad : {0, 1, 2, 6})
+                            for (bool dw : {false, true}) {
+                                ConvLayer l = rectLayer(h, w, kh, kw,
+                                                        stride, pad, dw);
+                                if (l.ifmapH + 2 * pad < kh ||
+                                    l.ifmapW + 2 * pad < kw)
+                                    continue; // kernel does not fit
+                                l.check();
+                                EXPECT_EQ(
+                                    analyzeDemand(l, pe).inputPortReads,
+                                    bruteForceInputReads(l, pe))
+                                    << h << 'x' << w << " k" << kh << 'x'
+                                    << kw << " s" << stride << " p"
+                                    << pad << " dw" << dw;
+                                ++checked;
+                            }
+    EXPECT_GT(checked, 1000);
+}
+
+TEST(Demand, ClosedFormMatchesPerOffsetWalkOnModels)
+{
+    // Every layer shape of the evaluation zoo, on two PE arrays.
+    for (const std::string &name : cnn::modelNames())
+        for (const auto &l : cnn::makeModel(name).layers)
+            for (const ArrayDims pe : {ArrayDims{64, 256},
+                                       ArrayDims{128, 128}})
+                EXPECT_EQ(analyzeDemand(l, pe).inputPortReads,
+                          bruteForceInputReads(l, pe))
+                    << name << ' ' << l.name;
 }
 
 TEST(Replay, CountsMatchClosedForm)
