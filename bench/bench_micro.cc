@@ -11,8 +11,9 @@
  * figure-grid timings are per-loop medians over several cold runs
  * (with a max-min spread metric characterizing run-to-run variance),
  * and the report carries the scheduler's task/steal counters, the
- * schedule-memo entry count of one cold single-image grid and the
- * median warm-memo re-run time of that grid.
+ * schedule-memo entry count of one cold single-image grid, the
+ * median warm-memo re-run time of that grid and the simplex pivots
+ * its ILP schedules take.
  * SMART_THREADS controls the worker count in both modes.
  */
 
@@ -21,6 +22,7 @@
 #include <algorithm>
 #include <fstream>
 #include <future>
+#include <set>
 #include <vector>
 
 #include "accel/hash.hh"
@@ -31,6 +33,7 @@
 #include "common/logging.hh"
 #include "common/taskgraph.hh"
 #include "common/tracespan.hh"
+#include "compiler/dag.hh"
 #include "compiler/ilpsched.hh"
 #include "cryomem/dse.hh"
 #include "cryomem/subbank.hh"
@@ -171,6 +174,39 @@ ilpBnbBatch()
     return batch;
 }
 
+/**
+ * Total simplex pivots of the ILP schedules of the distinct SMART
+ * layers in the single-image figure grid (the solves one cold grid
+ * pass puts in the schedule memo): a host-independent work counter
+ * for the ILP core.
+ */
+double
+ilpGridPivots()
+{
+    const accel::AcceleratorConfig cfg = accel::makeSmart();
+    const compiler::SchedParams sp = accel::ilpSchedParams(cfg);
+    std::set<std::vector<int>> seen;
+    std::vector<compiler::LayerDag> dags;
+    for (const auto &name : cnn::modelNames()) {
+        for (const auto &l : cnn::convLayersOnly(cnn::makeModel(name)).layers) {
+            if (seen.insert({l.ifmapH, l.ifmapW, l.inChannels, l.filters,
+                             l.kernelH, l.kernelW, l.stride, l.pad,
+                             l.depthwise ? 1 : 0})
+                    .second)
+                dags.push_back(compiler::buildLayerDag(
+                    l, systolic::analyzeDemand(l, cfg.pe)));
+        }
+    }
+    std::vector<int> pivots(dags.size());
+    pFor(dags.size(), [&](std::size_t i) {
+        pivots[i] = compiler::scheduleIlp(dags[i], sp).simplexIters;
+    });
+    double total = 0.0;
+    for (int p : pivots)
+        total += p;
+    return total;
+}
+
 /** Per-loop median: robust to a one-off scheduler hiccup. */
 double
 medianOf(std::vector<double> v)
@@ -271,6 +307,7 @@ jsonMain(int argc, char **argv)
     metrics.push_back({"ilp_bnb_batch_ms", ilpBatch.ms});
     metrics.push_back({"ilp_bnb_batch_nodes", ilpBatch.nodes});
     metrics.push_back({"ilp_bnb_batch_pivots", ilpBatch.pivots});
+    metrics.push_back({"ilp_grid_pivots", ilpGridPivots()});
 
     // Serving layer: full-speed replays of the synthetic bursty trace
     // through the async service — a cold pass (all evaluations) and a

@@ -53,8 +53,10 @@ greedyFallback(const LayerDag &dag, const SchedParams &params,
     sched.quality = Quality::Greedy;
     sched.gapBound =
         sol ? gapAgainstBound(*sol, sched.objective) : -1.0;
-    if (sol)
+    if (sol) {
         sched.bnbNodes = sol->bnbNodes;
+        sched.simplexIters = sol->simplexIters;
+    }
     return sched;
 }
 
@@ -257,6 +259,7 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
     // optimal incumbents may still report a small positive bound.
     sched.gapBound = std::max(0.0, gapAgainstBound(sol, sol.objective));
     sched.bnbNodes = sol.bnbNodes;
+    sched.simplexIters = sol.simplexIters;
 
     if (!validateSchedule(dag, params, sched)) {
         smart_warn("ILP schedule failed validation; using greedy");

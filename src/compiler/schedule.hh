@@ -95,6 +95,7 @@ struct Schedule
      */
     double gapBound = -1.0;
     int bnbNodes = 0;         //!< ILP search effort.
+    int simplexIters = 0;     //!< Simplex pivots over all B&B nodes.
 
     /** Fraction of class-c accesses served from @p placement. */
     double servedFraction(const LayerDag &dag, ObjClass c,

@@ -105,6 +105,10 @@ class Model
     double lb(int id) const { return lb_[id]; }
     /** Upper bound of a variable. */
     double ub(int id) const { return ub_[id]; }
+    /** Every variable's lower bound, indexed by id. */
+    const std::vector<double> &lowerBounds() const { return lb_; }
+    /** Every variable's upper bound, indexed by id. */
+    const std::vector<double> &upperBounds() const { return ub_; }
     /** Type of a variable. */
     VarType type(int id) const { return types_[id]; }
     /** Name of a variable. */
@@ -116,7 +120,7 @@ class Model
     /** True if the objective is maximized. */
     bool maximize() const { return maximize_; }
 
-    /** Tighten a variable's bounds (used by branch & bound). */
+    /** Set a variable's bounds. */
     void setBounds(int id, double lb, double ub);
 
   private:

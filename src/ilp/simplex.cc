@@ -40,8 +40,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 class Tableau
 {
   public:
-    Tableau(const Model &model, const SolverOptions &opts,
-            LpWorkspace &ws);
+    Tableau(const Model &model, const LpRows &rows,
+            const std::vector<double> &lb, const std::vector<double> &ub,
+            const SolverOptions &opts, LpWorkspace &ws);
     /** Zeroes the listed cells: the workspace leaves all-zero. */
     ~Tableau();
     Tableau(const Tableau &) = delete;
@@ -82,99 +83,71 @@ class Tableau
     }
     bool pivotLoop(const std::vector<double> &cost, bool phase1);
     void pivot(int row, int col);
-    /** Recompute the full reduced-cost row for the given cost vector. */
-    void computeReducedRow(const std::vector<double> &cost);
+    /**
+     * Recompute the reduced costs for @p cost, the nonzero-cost row
+     * bitset and the pricing tree over columns [0, scan_end).
+     */
+    void computeReducedRow(const std::vector<double> &cost, int scan_end);
+    /** Replay tree match @p k: the left winner holds ties. */
+    void match(int k)
+    {
+        int *t = ws_.tree.data();
+        t[k] = ws_.red[t[2 * k + 1]] > ws_.red[t[2 * k]] ? t[2 * k + 1]
+                                                          : t[2 * k];
+    }
 
     double *row(int i) { return ws_.a.data() + i * cols_; }
     const double *row(int i) const { return ws_.a.data() + i * cols_; }
 
     const Model &model_;
+    const LpRows &rows_;
+    const std::vector<double> &lb_; //!< Also each column's shift.
+    const std::vector<double> &ub_;
     const SolverOptions &opts_;
     LpWorkspace &ws_;
     int n_;               //!< Structural variables.
     int m_ = 0;           //!< Tableau rows.
     int cols_ = 0;        //!< Total tableau columns (without rhs).
     int first_artificial_ = 0;
+    int leaves_ = 1;      //!< Pricing-tree leaves (a power of two).
     int iters_ = 0;
     bool unbounded_ = false;
 };
 
-Tableau::Tableau(const Model &model, const SolverOptions &opts,
+Tableau::Tableau(const Model &model, const LpRows &rows,
+                 const std::vector<double> &lb,
+                 const std::vector<double> &ub, const SolverOptions &opts,
                  LpWorkspace &ws)
-    : model_(model), opts_(opts), ws_(ws), n_(model.numVars())
+    : model_(model), rows_(rows), lb_(lb), ub_(ub), opts_(opts), ws_(ws),
+      n_(model.numVars())
 {
-    ws_.shift.assign(n_, 0.0);
-    for (int j = 0; j < n_; ++j) {
-        smart_assert(std::isfinite(model.lb(j)),
-                     "variable ", model.varName(j),
+    for (int j = 0; j < n_; ++j)
+        smart_assert(std::isfinite(lb[j]), "variable ", model.varName(j),
                      " needs a finite lower bound");
-        ws_.shift[j] = model.lb(j);
-    }
 
-    // Assemble normalized rows (rhs >= 0) into the workspace CSR:
-    // model constraints first, then finite-upper-bound rows. Duplicate
-    // terms accumulate through the dense scratch.
-    ws_.csrVals.clear();
-    ws_.csrCols.clear();
-    ws_.csrRowPtr.clear();
+    // Shift each row's rhs by the lower bounds: model constraints
+    // first, then finite-upper-bound rows. A negative rhs flips the
+    // row at load, which decides whether it needs an artificial.
     ws_.rowRhs.clear();
-    ws_.rowSense.clear();
-    ws_.csrRowPtr.push_back(0);
-    ws_.accum.assign(n_, 0.0);
-    ws_.inRow.assign(n_, 0);
-    ws_.touched.clear();
-
     int slacks = 0;
     int artificials = 0;
-    auto sealRow = [&](Sense sense, double rhs) {
-        if (rhs < 0) {
-            rhs = -rhs;
-            for (int j : ws_.touched)
-                ws_.accum[j] = -ws_.accum[j];
-            sense = sense == Sense::Le
-                        ? Sense::Ge
-                        : (sense == Sense::Ge ? Sense::Le : Sense::Eq);
-        }
-        for (int j : ws_.touched) {
-            ws_.csrVals.push_back(ws_.accum[j]);
-            ws_.csrCols.push_back(j);
-            ws_.accum[j] = 0.0;
-            ws_.inRow[j] = 0;
-        }
-        ws_.touched.clear();
-        ws_.csrRowPtr.push_back(static_cast<int>(ws_.csrCols.size()));
+    auto shifted = [&](Sense sense, double rhs) {
         ws_.rowRhs.push_back(rhs);
-        ws_.rowSense.push_back(static_cast<signed char>(sense));
         if (sense != Sense::Eq)
             ++slacks;
-        if (sense != Sense::Le)
+        if (sense != (rhs < 0 ? Sense::Ge : Sense::Le))
             ++artificials;
     };
-
-    for (const auto &c : model.constraints()) {
-        double rhs = c.rhs;
-        for (const auto &[id, coeff] : c.expr.terms()) {
-            // Membership is tracked explicitly: duplicate terms whose
-            // running sum transits exactly 0.0 must not re-enter
-            // touched, or the CSR would emit the column twice.
-            if (!ws_.inRow[id]) {
-                ws_.inRow[id] = 1;
-                ws_.touched.push_back(id);
-            }
-            ws_.accum[id] += coeff;
-        }
-        for (int j : ws_.touched)
-            rhs -= ws_.accum[j] * ws_.shift[j];
-        sealRow(c.sense, rhs);
+    const std::vector<Constraint> &constrs = model.constraints();
+    for (std::size_t i = 0; i < constrs.size(); ++i) {
+        double rhs = constrs[i].rhs;
+        for (int k = rows.start[i]; k < rows.start[i + 1]; ++k)
+            rhs -= rows.vals[k] * lb[rows.cols[k]];
+        shifted(constrs[i].sense, rhs);
     }
-    for (int j = 0; j < n_; ++j) {
-        if (std::isfinite(model.ub(j))) {
-            ws_.accum[j] = 1.0;
-            ws_.inRow[j] = 1;
-            ws_.touched.push_back(j);
-            sealRow(Sense::Le, model.ub(j) - ws_.shift[j]);
-        }
-    }
+    for (int j = 0; j < n_; ++j)
+        if (std::isfinite(ub[j]))
+            shifted(Sense::Le, ub[j] - lb[j]);
 
     m_ = static_cast<int>(ws_.rowRhs.size());
     first_artificial_ = n_ + slacks;
@@ -215,14 +188,28 @@ Tableau::load()
     ws_.rhs.assign(m_, 0.0);
     ws_.basis.assign(m_, 0);
 
-    // Fill from the CSR plus slack/artificial columns.
+    // Each row is normalized to rhs >= 0 (negating its terms and
+    // flipping its sense), then gets its slack/artificial columns. Rows
+    // past the model's constraints bound the finite-ub columns, in order.
     int slack_col = n_;
     int art_col = first_artificial_;
-    for (int i = 0; i < m_; ++i) {
-        for (int k = ws_.csrRowPtr[i]; k < ws_.csrRowPtr[i + 1]; ++k)
-            set(i, ws_.csrCols[k], ws_.csrVals[k]);
-        ws_.rhs[i] = ws_.rowRhs[i];
-        switch (static_cast<Sense>(ws_.rowSense[i])) {
+    const std::vector<Constraint> &constrs = model_.constraints();
+    for (int i = 0, ub_col = 0; i < m_; ++i) {
+        const bool flip = ws_.rowRhs[i] < 0;
+        Sense sense = Sense::Le;
+        if (i < static_cast<int>(constrs.size())) {
+            sense = constrs[i].sense;
+            for (int k = rows_.start[i]; k < rows_.start[i + 1]; ++k)
+                set(i, rows_.cols[k], flip ? -rows_.vals[k] : rows_.vals[k]);
+        } else {
+            while (!std::isfinite(ub_[ub_col]))
+                ++ub_col;
+            set(i, ub_col++, flip ? -1.0 : 1.0);
+        }
+        ws_.rhs[i] = flip ? -ws_.rowRhs[i] : ws_.rowRhs[i];
+        if (flip && sense != Sense::Eq)
+            sense = sense == Sense::Le ? Sense::Ge : Sense::Le;
+        switch (sense) {
           case Sense::Le:
             set(i, slack_col, 1.0);
             ws_.basis[i] = slack_col++;
@@ -241,18 +228,32 @@ Tableau::load()
 }
 
 void
-Tableau::computeReducedRow(const std::vector<double> &cost)
+Tableau::computeReducedRow(const std::vector<double> &cost, int scan_end)
 {
     ws_.red.assign(cost.begin(), cost.begin() + cols_);
+    ws_.red.push_back(-kInf); // pads the tree's unused leaves
+    ws_.costRows.assign((m_ + 63) / 64, 0);
     double *red = ws_.red.data();
     for (int i = 0; i < m_; ++i) {
         const double cb = cost[ws_.basis[i]];
         if (cb == 0.0)
             continue;
+        ws_.costRows[i / 64] |= std::uint64_t{1} << (i % 64);
         const double *r = row(i);
         for (int j : ws_.rowNz[i])
             red[j] -= cb * r[j];
     }
+
+    // The root is the lowest index among the maxima, the column an
+    // ascending Dantzig scan picks. Unused leaves hold the -inf pad.
+    leaves_ = 1;
+    while (leaves_ < scan_end)
+        leaves_ *= 2;
+    ws_.tree.resize(2 * static_cast<std::size_t>(leaves_));
+    for (int j = 0; j < leaves_; ++j)
+        ws_.tree[leaves_ + j] = j < scan_end ? j : cols_;
+    for (int k = leaves_ - 1; k >= 1; --k)
+        match(k);
 }
 
 void
@@ -296,22 +297,24 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
     // Reduced costs are maintained incrementally across pivots (the
     // classic objective-row trick); recomputing per candidate would be
     // O(m * n) per pricing pass.
-    computeReducedRow(cost);
-    double *red = ws_.red.data();
     const int scan_end = phase1 ? cols_ : first_artificial_;
+    computeReducedRow(cost, scan_end);
+    double *red = ws_.red.data();
+    std::uint64_t *cost_rows = ws_.costRows.data();
+    const int words = (m_ + 63) / 64;
 
     while (iters_ < opts_.maxIters) {
-        // Pricing: Dantzig unless stalling, then Bland.
-        const bool bland = stall > bland_threshold;
+        // Pricing: Dantzig (the tree root) unless stalling, then Bland.
         int enter = -1;
-        double best = opts_.eps;
-        for (int j = 0; j < scan_end; ++j) {
-            if (red[j] > best) {
-                enter = j;
-                if (bland)
+        if (stall > bland_threshold) {
+            for (int j = 0; j < scan_end; ++j) {
+                if (red[j] > opts_.eps) {
+                    enter = j;
                     break;
-                best = red[j];
+                }
             }
+        } else if (red[ws_.tree[1]] > opts_.eps) {
+            enter = ws_.tree[1];
         }
         if (enter < 0)
             return true; // optimal for this phase
@@ -342,17 +345,31 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         pivot(leave, enter);
         ++iters_;
 
-        // Update reduced costs against the normalized pivot row.
+        // Update reduced costs against the normalized pivot row, then
+        // the tree leaves they moved (the row lists enter itself).
         const double re = red[enter];
         const double *prow = row(leave);
-        for (int j : ws_.rowNz[leave])
+        const std::vector<int> &pcols = ws_.rowNz[leave];
+        for (int j : pcols)
             red[j] -= re * prow[j];
         red[enter] = 0.0;
+        for (int j : pcols)
+            for (int k = (leaves_ + j) / 2; j < scan_end && k >= 1; k /= 2)
+                match(k);
 
-        // Stall detection for the Bland fallback.
+        // Stall detection for the Bland fallback, summed in ascending
+        // row order over the rows whose basic column has a cost.
+        const std::uint64_t bit = std::uint64_t{1} << (leave % 64);
+        cost_rows[leave / 64] = cost[enter] != 0.0
+                                    ? cost_rows[leave / 64] | bit
+                                    : cost_rows[leave / 64] & ~bit;
         double obj = 0.0;
-        for (int i = 0; i < m_; ++i)
-            obj += cost[ws_.basis[i]] * ws_.rhs[i];
+        for (int w = 0; w < words; ++w) {
+            for (std::uint64_t b = cost_rows[w]; b != 0; b &= b - 1) {
+                const int i = w * 64 + __builtin_ctzll(b);
+                obj += cost[ws_.basis[i]] * ws_.rhs[i];
+            }
+        }
         if (obj > last_obj + opts_.eps) {
             last_obj = obj;
             stall = 0;
@@ -420,7 +437,7 @@ Tableau::extractValues() const
         y[ws_.basis[i]] = ws_.rhs[i];
     std::vector<double> x(n_);
     for (int j = 0; j < n_; ++j)
-        x[j] = y[j] + ws_.shift[j];
+        x[j] = y[j] + lb_[j];
     return x;
 }
 
@@ -435,10 +452,41 @@ Tableau::objectiveValue(const std::vector<double> &values) const
 
 } // namespace
 
-Solution
-solveLp(const Model &model, const SolverOptions &opts, LpWorkspace &ws)
+LpRows::LpRows(const Model &model)
 {
-    Tableau t(model, opts, ws);
+    // Duplicate terms accumulate through dense scratch. Membership is
+    // tracked explicitly: duplicate terms whose running sum transits
+    // exactly 0.0 must not re-enter touched, or the row would list the
+    // column twice.
+    std::vector<double> accum(model.numVars(), 0.0);
+    std::vector<unsigned char> in_row(model.numVars(), 0);
+    std::vector<int> touched;
+    start.push_back(0);
+    for (const auto &c : model.constraints()) {
+        for (const auto &[id, coeff] : c.expr.terms()) {
+            if (!in_row[id]) {
+                in_row[id] = 1;
+                touched.push_back(id);
+            }
+            accum[id] += coeff;
+        }
+        for (int j : touched) {
+            cols.push_back(j);
+            vals.push_back(accum[j]);
+            accum[j] = 0.0;
+            in_row[j] = 0;
+        }
+        touched.clear();
+        start.push_back(static_cast<int>(cols.size()));
+    }
+}
+
+Solution
+solveLp(const Model &model, const LpRows &rows,
+        const std::vector<double> &lb, const std::vector<double> &ub,
+        const SolverOptions &opts, LpWorkspace &ws)
+{
+    Tableau t(model, rows, lb, ub, opts, ws);
     Solution sol;
     sol.status = t.solve();
     sol.simplexIters = t.iters();
@@ -453,7 +501,8 @@ Solution
 solveLp(const Model &model, const SolverOptions &opts)
 {
     LpWorkspace ws;
-    return solveLp(model, opts, ws);
+    return solveLp(model, LpRows(model), model.lowerBounds(),
+                   model.upperBounds(), opts, ws);
 }
 
 } // namespace smart::ilp

@@ -5,28 +5,33 @@
  * fallback for anti-cycling; variable bounds are folded into the
  * tableau (lower bounds by shifting, upper bounds as explicit rows).
  *
- * The tableau values live in a dense row-major store, but every pass
- * over them walks index lists: each row lists the columns of the cells
- * it has written and each column the rows, a superset of the nonzeros
- * (a cell that cancels to zero stays listed). A pivot normalizes only
- * the pivot row's listed columns and updates only the rows listed in
- * the entering column; fill-in appends to both lists. A schedule LP's
- * pivot row lists about 5 of some 340 columns, so the lists remove
- * nearly all of the pivot work.
+ * Per-pivot and per-node work is proportional to what changes. The
+ * tableau values live in a dense row-major store, but every pass over
+ * them walks index lists: each row lists the columns of the cells it
+ * has written and each column the rows, a superset of the nonzeros.
+ * A pivot touches only the pivot row's listed columns and the entering
+ * column's listed rows. Pricing reads the root of an argmax tree over
+ * the reduced costs and replays only the pivot row's leaves; the stall
+ * objective sums only rows whose basic column has a nonzero cost. A
+ * model's rows are merged once (LpRows) and loaded per node bounds.
  *
  * Bit-identity contract: the pivot sequence and every floating-point
  * operation on a nonzero cell are exactly those of a dense sweep.
  * Skipped cells are zero, and a zero cell can only ever differ in the
- * sign of that zero, which no comparison observes. Pricing scans the
- * dense reduced-cost row in ascending column order, the ratio test
- * walks the entering column's rows in ascending order, and phase 1
- * drives artificials out with the lowest eligible column, so every
- * tie breaks as in the dense sweep.
+ * sign of that zero, which no comparison observes; skipped stall
+ * terms are zero products, which leave a sum started at +0.0 as it
+ * is. The tree keeps the lowest index among equal reduced costs, so
+ * its root is the column an ascending Dantzig scan picks. The Bland
+ * fallback scans in ascending order, the ratio test walks the
+ * entering column's rows in ascending order, and phase 1 drives
+ * artificials out with the lowest eligible column, so every tie
+ * breaks as in the dense sweep.
  */
 
 #ifndef SMART_ILP_SIMPLEX_HH
 #define SMART_ILP_SIMPLEX_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "ilp/model.hh"
@@ -92,8 +97,8 @@ struct Solution
  * Reusable solve buffers. The branch-and-bound search solves thousands
  * of structurally identical LPs that differ only in variable bounds;
  * routing them through one workspace reuses every allocation (tableau,
- * index lists, rhs, basis, pricing vectors, row-assembly buffers) instead
- * of reallocating per node. A workspace may be reused across models of
+ * index lists, rhs, basis, pricing tree and bitset) instead of
+ * reallocating per node. A workspace may be reused across models of
  * any size; it must not be shared between threads.
  *
  * Invariant: between solves, `a` and `listed` are all zero and every
@@ -110,30 +115,42 @@ struct LpWorkspace
     std::vector<std::vector<int>> rowNz; //!< Listed columns per row.
     std::vector<std::vector<int>> colNz; //!< Listed rows per column.
     std::vector<double> rhs;
+    std::vector<double> rowRhs; //!< Shifted rhs before normalization.
     std::vector<int> basis;
-    std::vector<double> shift;
-    // Pricing buffers.
+    // Pricing, rebuilt at the start of each phase.
     std::vector<double> cost;
-    std::vector<double> red;
-    // Row assembly: CSR of normalized rows + dense accumulation scratch.
-    std::vector<double> csrVals;
-    std::vector<int> csrCols;
-    std::vector<int> csrRowPtr;
-    std::vector<double> rowRhs;
-    std::vector<signed char> rowSense;
-    std::vector<double> accum;
-    std::vector<signed char> inRow; //!< Membership marker for accum.
-    std::vector<int> touched;
+    std::vector<double> red; //!< Reduced costs, then a -inf pad.
+    std::vector<int> tree;   //!< Argmax tournament over red.
+    std::vector<std::uint64_t> costRows; //!< Rows with cost[basis] != 0.
+};
+
+/**
+ * A model's constraint rows with duplicate terms merged, in the order
+ * each variable first appears. Bounds stay out, so one assembly serves
+ * every node LP of a branch-and-bound search. Row i holds its terms at
+ * [start[i], start[i + 1]).
+ */
+struct LpRows
+{
+    explicit LpRows(const Model &model);
+
+    std::vector<int> cols;
+    std::vector<double> vals;
+    std::vector<int> start;
 };
 
 /** Solve the LP relaxation of @p model (integrality ignored). */
 Solution solveLp(const Model &model, const SolverOptions &opts = {});
 
 /**
- * Solve the LP relaxation reusing @p ws across calls (the B&B hot
- * path). Results are identical to the workspace-free overload.
+ * Solve the LP relaxation of @p model over its assembled @p rows with
+ * the bounds @p lb / @p ub in place of the model's, reusing @p ws
+ * across calls (the B&B hot path). Results are identical to the
+ * workspace-free overload's under the same bounds.
  */
-Solution solveLp(const Model &model, const SolverOptions &opts,
+Solution solveLp(const Model &model, const LpRows &rows,
+                 const std::vector<double> &lb,
+                 const std::vector<double> &ub, const SolverOptions &opts,
                  LpWorkspace &ws);
 
 } // namespace smart::ilp

@@ -45,17 +45,19 @@ pickBranchVar(const std::vector<int> &int_vars,
 
 /**
  * Try rounding an LP solution to an integral assignment and verify
- * feasibility; used to seed the incumbent early.
+ * feasibility under the node's bounds @p lb / @p ub; used to seed the
+ * incumbent early.
  */
 bool
-roundedFeasible(const Model &model, std::vector<double> &values,
+roundedFeasible(const Model &model, const std::vector<double> &lb,
+                const std::vector<double> &ub, std::vector<double> &values,
                 double eps)
 {
     for (int j = 0; j < model.numVars(); ++j) {
         if (model.type(j) == VarType::Continuous)
             continue;
         values[j] = std::round(values[j]);
-        if (values[j] < model.lb(j) || values[j] > model.ub(j))
+        if (values[j] < lb[j] || values[j] > ub[j])
             return false;
     }
     for (const auto &c : model.constraints()) {
@@ -134,9 +136,9 @@ struct NodeOrder
  * in best-bound order, so the search proves optimality (or closes the
  * gap) with the fewest LP solves, and the heap top doubles as a global
  * bound: when it cannot beat the incumbent, the search is done. All
- * node LPs run through one reusable workspace; each node stores only
- * its bound overrides vs the root model, applied and rolled back
- * incrementally.
+ * node LPs run through one reusable workspace over rows assembled once;
+ * each node stores only its bound overrides vs the root model, applied
+ * to the bound vectors and rolled back incrementally.
  */
 Solution
 solve(const Model &model, const SolverOptions &opts)
@@ -151,8 +153,10 @@ solve(const Model &model, const SolverOptions &opts)
         return lp;
     }
 
-    Model work = model; // mutable copy for bound overrides
-    LpWorkspace ws;     // reused across every node's LP solve
+    const LpRows rows(model);
+    std::vector<double> lb = model.lowerBounds();
+    std::vector<double> ub = model.upperBounds();
+    LpWorkspace ws; // reused across every node's LP solve
 
     Solution best;
     best.status = SolveStatus::Infeasible;
@@ -207,11 +211,14 @@ solve(const Model &model, const SolverOptions &opts)
         // Apply this node's bound overrides (incremental vs the root).
         saved.clear();
         for (const auto &b : node.bounds) {
-            saved.push_back({b.var, work.lb(b.var), work.ub(b.var)});
-            work.setBounds(b.var, b.lb, b.ub);
+            smart_assert(b.lb <= b.ub, "bounds cross for variable ",
+                         b.var);
+            saved.push_back({b.var, lb[b.var], ub[b.var]});
+            lb[b.var] = b.lb;
+            ub[b.var] = b.ub;
         }
 
-        Solution relax = solveLp(work, opts, ws);
+        Solution relax = solveLp(model, rows, lb, ub, opts, ws);
         total_iters += relax.simplexIters;
         if (!have_root_bound && relax.status == SolveStatus::Optimal) {
             root_bound = dir * relax.objective;
@@ -236,7 +243,7 @@ solve(const Model &model, const SolverOptions &opts)
             } else {
                 // Incumbent heuristic: rounded LP solution.
                 std::vector<double> rounded = relax.values;
-                if (roundedFeasible(work, rounded, 1e-6)) {
+                if (roundedFeasible(model, lb, ub, rounded, 1e-6)) {
                     const double obj = objectiveOf(model, rounded);
                     if (!have_incumbent ||
                         dir * obj > dir * best.objective) {
@@ -249,11 +256,9 @@ solve(const Model &model, const SolverOptions &opts)
                 const double bound = dir * relax.objective;
                 const double v = relax.values[branch];
                 Node down{node.bounds, bound, next_seq++};
-                down.bounds.push_back(
-                    {branch, work.lb(branch), std::floor(v)});
+                down.bounds.push_back({branch, lb[branch], std::floor(v)});
                 Node up{std::move(node.bounds), bound, next_seq++};
-                up.bounds.push_back(
-                    {branch, std::ceil(v), work.ub(branch)});
+                up.bounds.push_back({branch, std::ceil(v), ub[branch]});
                 const bool down_first = v - std::floor(v) < 0.5;
                 if (!have_incumbent) {
                     // DFS: push the rounding-closest side last so it
@@ -273,8 +278,10 @@ solve(const Model &model, const SolverOptions &opts)
         }
 
         // Restore bounds for the next node.
-        for (auto it = saved.rbegin(); it != saved.rend(); ++it)
-            work.setBounds(it->var, it->lb, it->ub);
+        for (auto it = saved.rbegin(); it != saved.rend(); ++it) {
+            lb[it->var] = it->lb;
+            ub[it->var] = it->ub;
+        }
     }
 
     best.bnbNodes = nodes;

@@ -8,8 +8,8 @@
 # so; comparable lines must pass when flat, fail on a wall-time
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
-# counts (solver work and figure-grid memo entries) fail on any rise,
-# on any host.
+# counts (solver work, figure-grid ILP pivots and memo entries) fail
+# on any rise, on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -135,6 +135,24 @@ check "rising pivot count fails" 1 "$tmp/countsup.jsonl" 25
     counts hostB 401 9000
 } > "$tmp/countshosts.jsonl"
 check "rising node count fails across hosts" 1 "$tmp/countshosts.jsonl" 25
+
+gridpivots() {
+    # History line for host "$1" with figure-grid ILP pivots "$2".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"ilp_grid_pivots": %s}}}\n' \
+        "$1" "$2"
+}
+{
+    gridpivots hostA 365585
+    gridpivots hostA 365585
+} > "$tmp/gridflat.jsonl"
+check "flat grid pivot count passes" 0 "$tmp/gridflat.jsonl" 25
+
+{
+    gridpivots hostA 365585
+    gridpivots hostB 365586
+} > "$tmp/gridup.jsonl"
+check "rising grid pivot count fails across hosts" 1 \
+      "$tmp/gridup.jsonl" 25
 
 memo() {
     # History line for host "$1" with figure-grid memo entries "$2".

@@ -9,7 +9,8 @@
  * FNV-1a digest. The simplex may only change how much work it does per
  * pivot, never the pivot sequence or the arithmetic on a nonzero cell:
  * a new pivot order that breaks a degenerate tie differently moves
- * this digest or the node total even when every decision survives.
+ * this digest, the node total or the pivot total even when every
+ * decision survives.
  */
 
 #include <gtest/gtest.h>
@@ -57,6 +58,7 @@ TEST(IlpGridPins, FigureGridSchedulesAreBitExact)
     std::set<std::string> seen;
     std::string bytes;
     long totalNodes = 0;
+    long totalPivots = 0;
     for (const auto &name : cnn::modelNames()) {
         const cnn::CnnModel net = cnn::convLayersOnly(cnn::makeModel(name));
         for (const auto &layer : net.layers) {
@@ -73,11 +75,13 @@ TEST(IlpGridPins, FigureGridSchedulesAreBitExact)
             appendBytes(bytes, s.gapBound);
             appendBytes(bytes, s.bnbNodes);
             totalNodes += s.bnbNodes;
+            totalPivots += s.simplexIters;
         }
     }
 
     EXPECT_EQ(seen.size(), 102u);
     EXPECT_EQ(totalNodes, 6381);
+    EXPECT_EQ(totalPivots, 365585);
     EXPECT_EQ(accel::requestDigest(bytes), 0xa98d4e6aeeb22345ull);
 }
 

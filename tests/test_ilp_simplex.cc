@@ -7,9 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <utility>
 
 #include "common/rng.hh"
 #include "ilp/simplex.hh"
@@ -76,6 +78,50 @@ expectSameBits(const Solution &a, const Solution &b)
     ASSERT_EQ(a.values.size(), b.values.size());
     for (std::size_t j = 0; j < a.values.size(); ++j)
         EXPECT_EQ(bitsOf(a.values[j]), bitsOf(b.values[j])) << "var " << j;
+}
+
+/** Bitwise pin of a solve: pivots, objective and every value. */
+void
+expectPinned(const Solution &s, int pivots, double objective,
+             const std::vector<double> &values)
+{
+    ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_EQ(s.simplexIters, pivots);
+    EXPECT_EQ(bitsOf(s.objective), bitsOf(objective));
+    ASSERT_EQ(s.values.size(), values.size());
+    for (std::size_t j = 0; j < values.size(); ++j)
+        EXPECT_EQ(bitsOf(s.values[j]), bitsOf(values[j])) << "var " << j;
+}
+
+/**
+ * Tableau rows and phase-1 columns the simplex lays out for @p m: one
+ * row per constraint and per finite upper bound, one slack per
+ * inequality and one artificial per row that is not <= once its rhs
+ * is made nonnegative.
+ */
+std::pair<int, int>
+tableauShape(const Model &m)
+{
+    int rows = 0;
+    int slacks = 0;
+    int artificials = 0;
+    auto count = [&](Sense sense, double rhs) {
+        ++rows;
+        if (rhs < 0 && sense != Sense::Eq)
+            sense = sense == Sense::Le ? Sense::Ge : Sense::Le;
+        slacks += sense != Sense::Eq;
+        artificials += sense != Sense::Le;
+    };
+    for (const auto &c : m.constraints()) {
+        double rhs = c.rhs;
+        for (const auto &[id, coeff] : c.expr.terms())
+            rhs -= coeff * m.lb(id);
+        count(c.sense, rhs);
+    }
+    for (int j = 0; j < m.numVars(); ++j)
+        if (std::isfinite(m.ub(j)))
+            count(Sense::Le, m.ub(j) - m.lb(j));
+    return {rows, m.numVars() + slacks + artificials};
 }
 
 /** The workspace invariant: tableau and list marks zero, lists empty. */
@@ -230,6 +276,119 @@ TEST(Simplex, DegenerateProblemTerminates)
     EXPECT_NEAR(s.objective, 1.0, 1e-6);
 }
 
+TEST(Simplex, ReducedCostTiesEnterLowestIndex)
+{
+    // Dantzig pricing breaks exact reduced-cost ties toward the lowest
+    // column: x1, x3 and x4 tie at 5 and x1 must take the shared row;
+    // once they are priced out, x0 and x2 tie at 3 and x0 must enter.
+    // Entering the highest tied index instead reaches the other
+    // optimal vertex (x2 = 2, x4 = 4) with the same objective.
+    const double inf = std::numeric_limits<double>::infinity();
+    Model m;
+    std::vector<Var> x;
+    for (int j = 0; j < 6; ++j)
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+    m.addConstr(LinExpr().add(x[1], 1).add(x[3], 1).add(x[4], 1),
+                Sense::Le, 4);
+    m.addConstr(LinExpr().add(x[0], 1).add(x[2], 1), Sense::Le, 2);
+    m.addConstr(LinExpr(x[5]), Sense::Le, 1);
+    m.setObjective(LinExpr()
+                       .add(x[0], 3)
+                       .add(x[1], 5)
+                       .add(x[2], 3)
+                       .add(x[3], 5)
+                       .add(x[4], 5)
+                       .add(x[5], 1),
+                   true);
+    expectPinned(solveLp(m), 3, 27.0, {2, 4, 0, 0, 0, 1});
+}
+
+TEST(Simplex, RatioTestNearTiesFollowRowOrder)
+{
+    // The rhs values sit within the pivot tolerance of one another, so
+    // the ratio test meets ties that are not transitive: which row
+    // leaves depends on the order the entering column's rows are
+    // visited. Fill-in leaves that column's row list out of order, and
+    // visiting it unsorted takes 7 pivots to a different vertex.
+    const double inf = std::numeric_limits<double>::infinity();
+    Model m;
+    std::vector<Var> x;
+    for (int j = 0; j < 5; ++j)
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+    m.addConstr(LinExpr()
+                    .add(x[0], 1)
+                    .add(x[1], 1)
+                    .add(x[2], 1)
+                    .add(x[3], 1)
+                    .add(x[4], 1),
+                Sense::Le, 1);
+    m.addConstr(LinExpr().add(x[0], 4).add(x[4], 2).add(x[3], -2),
+                Sense::Le, 1.2e-9);
+    m.addConstr(LinExpr().add(x[1], -1).add(x[4], 3).add(x[0], 1),
+                Sense::Le, 8e-10);
+    m.addConstr(LinExpr().add(x[3], -1).add(x[0], 3).add(x[2], 3),
+                Sense::Le, 4e-10);
+    m.addConstr(LinExpr().add(x[3], 1).add(x[1], 2), Sense::Le, 1);
+    m.addConstr(LinExpr().add(x[0], 4).add(x[4], 2), Sense::Le, 0);
+    m.setObjective(LinExpr()
+                       .add(x[0], 5)
+                       .add(x[1], 1)
+                       .add(x[2], 4)
+                       .add(x[3], 5)
+                       .add(x[4], 2),
+                   true);
+    expectPinned(solveLp(m), 5, 5.0, {0, 0, 0, 1, 0});
+}
+
+TEST(Simplex, CyclingLpFallsBackToBland)
+{
+    // Chvatal's example cycles under Dantzig pricing with the lowest
+    // basis index leaving: after 3 * (rows + columns) = 30 stalled
+    // pivots the solver must switch to Bland's first-improving column
+    // to escape. Dantzig pricing alone would cycle to the iteration
+    // limit.
+    const double inf = std::numeric_limits<double>::infinity();
+    Model m;
+    std::vector<Var> x;
+    for (int j = 0; j < 4; ++j)
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+    m.addConstr(
+        LinExpr().add(x[0], 0.5).add(x[1], -5.5).add(x[2], -2.5).add(x[3], 9),
+        Sense::Le, 0);
+    m.addConstr(
+        LinExpr().add(x[0], 0.5).add(x[1], -1.5).add(x[2], -0.5).add(x[3], 1),
+        Sense::Le, 0);
+    m.addConstr(LinExpr(x[0]), Sense::Le, 1);
+    m.setObjective(
+        LinExpr().add(x[0], 10).add(x[1], -57).add(x[2], -9).add(x[3], -24),
+        true);
+    expectPinned(solveLp(m), 37, 1.0, {1, 0, 1, 0});
+}
+
+TEST(Simplex, ImprovingRunKeepsDantzigPricing)
+{
+    // The Klee-Minty cube takes 2^7 - 1 = 127 Dantzig pivots, each one
+    // improving the objective, which is past the 3 * (7 + 14) = 63
+    // stall threshold. The stall objective must track every basic
+    // column with a cost so that no pivot looks stalled; a premature
+    // switch to Bland's rule takes a shorter path.
+    const double inf = std::numeric_limits<double>::infinity();
+    const int n = 7;
+    Model m;
+    std::vector<Var> x;
+    LinExpr obj;
+    for (int i = 0; i < n; ++i) {
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+        LinExpr e;
+        for (int j = 0; j < i; ++j)
+            e.add(x[j], 2 * std::pow(10.0, i - j));
+        m.addConstr(e.add(x[i], 1), Sense::Le, std::pow(100.0, i));
+        obj.add(x[i], std::pow(10.0, n - 1 - i));
+    }
+    m.setObjective(obj, true);
+    expectPinned(solveLp(m), 127, 1e12, {0, 0, 0, 0, 0, 0, 1e12});
+}
+
 TEST(Simplex, DuplicateTermsCancellingToZeroMidExpression)
 {
     // Regression: 2x - 2x + 3x <= 6 accumulates through exactly 0.0;
@@ -265,8 +424,10 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
 {
     // One workspace through a large model, a smaller one, an
     // infeasible one (early return after phase 1), an iteration-
-    // limited one, then the large model again: each solve must match
-    // a fresh-workspace solve bit for bit and leave the buffers zero.
+    // limited one, the large model again, then back and forth across
+    // a 64-row word of the cost-row bitset and a power-of-two size of
+    // the pricing tree: each solve must match a fresh-workspace solve
+    // bit for bit and leave the buffers zero.
     const Model large = randomLp(60, 45, 7);
     const Model small = randomLp(12, 9, 8);
     Model infeasible = randomLp(20, 15, 9);
@@ -274,6 +435,14 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
                          infeasible.ub(0) + 1.0);
     SolverOptions limited;
     limited.maxIters = 5;
+    const Model below = randomLp(30, 30, 10);
+    const Model above = randomLp(48, 30, 11);
+    const auto [belowRows, belowCols] = tableauShape(below);
+    const auto [aboveRows, aboveCols] = tableauShape(above);
+    EXPECT_LT(belowRows, 64);
+    EXPECT_GT(aboveRows, 64);
+    EXPECT_LT(belowCols, 128);
+    EXPECT_GT(aboveCols, 128);
 
     struct Case
     {
@@ -287,10 +456,15 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
         {&infeasible, {}, SolveStatus::Infeasible},
         {&large, limited, SolveStatus::IterLimit},
         {&large, {}, SolveStatus::Optimal},
+        {&below, {}, SolveStatus::Optimal},
+        {&above, {}, SolveStatus::Optimal},
+        {&below, {}, SolveStatus::Optimal},
     };
     LpWorkspace ws;
     for (const Case &c : cases) {
-        const Solution reused = solveLp(*c.model, c.opts, ws);
+        const Solution reused =
+            solveLp(*c.model, LpRows(*c.model), c.model->lowerBounds(),
+                    c.model->upperBounds(), c.opts, ws);
         EXPECT_EQ(reused.status, c.expect);
         expectSameBits(reused, solveLp(*c.model, c.opts));
         expectClean(ws);
