@@ -174,14 +174,21 @@ ilpBnbBatch()
     return batch;
 }
 
+/** Simplex work summed over a set of ILP schedules. */
+struct IlpGridWork
+{
+    double pivots = 0.0;
+    double lpReplays = 0.0; //!< Node LPs re-run with stall tracking.
+};
+
 /**
- * Total simplex pivots of the ILP schedules of the distinct SMART
- * layers in the single-image figure grid (the solves one cold grid
- * pass puts in the schedule memo): a host-independent work counter
- * for the ILP core.
+ * Total simplex pivots and LP replays of the ILP schedules of the
+ * distinct SMART layers in the single-image figure grid (the solves
+ * one cold grid pass puts in the schedule memo): host-independent
+ * work counters for the ILP core.
  */
-double
-ilpGridPivots()
+IlpGridWork
+ilpGridWork()
 {
     const accel::AcceleratorConfig cfg = accel::makeSmart();
     const compiler::SchedParams sp = accel::ilpSchedParams(cfg);
@@ -197,14 +204,16 @@ ilpGridPivots()
                     l, systolic::analyzeDemand(l, cfg.pe)));
         }
     }
-    std::vector<int> pivots(dags.size());
+    std::vector<compiler::Schedule> scheds(dags.size());
     pFor(dags.size(), [&](std::size_t i) {
-        pivots[i] = compiler::scheduleIlp(dags[i], sp).simplexIters;
+        scheds[i] = compiler::scheduleIlp(dags[i], sp);
     });
-    double total = 0.0;
-    for (int p : pivots)
-        total += p;
-    return total;
+    IlpGridWork work;
+    for (const compiler::Schedule &s : scheds) {
+        work.pivots += s.simplexIters;
+        work.lpReplays += s.lpReplays;
+    }
+    return work;
 }
 
 /** Per-loop median: robust to a one-off scheduler hiccup. */
@@ -307,7 +316,9 @@ jsonMain(int argc, char **argv)
     metrics.push_back({"ilp_bnb_batch_ms", ilpBatch.ms});
     metrics.push_back({"ilp_bnb_batch_nodes", ilpBatch.nodes});
     metrics.push_back({"ilp_bnb_batch_pivots", ilpBatch.pivots});
-    metrics.push_back({"ilp_grid_pivots", ilpGridPivots()});
+    const IlpGridWork gridWork = ilpGridWork();
+    metrics.push_back({"ilp_grid_pivots", gridWork.pivots});
+    metrics.push_back({"ilp_grid_lp_replays", gridWork.lpReplays});
 
     // Serving layer: full-speed replays of the synthetic bursty trace
     // through the async service — a cold pass (all evaluations) and a

@@ -36,8 +36,10 @@
 #    baseline. Ratios do not depend on machine speed, so they are
 #    judged even when the host stamps differ.
 #  - Counts: deterministic work counters (the knapsack ILP batch's
-#    B&B nodes and simplex pivots, the simplex pivots of the single-
-#    image figure grid's ILP schedules, and the schedule-memo entries
+#    B&B nodes and simplex pivots, the simplex pivots and LP replays
+#    (node LPs re-run with the simplex stall objective tracked,
+#    expected 0) of the single-image figure grid's ILP schedules, and
+#    the schedule-memo entries
 #    one cold single-image figure grid leaves behind — a rise there
 #    means a memo-key change split layers that share a schedule). They are
 #    exact functions of the code, so a count fails as soon as it
@@ -74,7 +76,7 @@ figure_grid_single_ms figure_grid_batch_ms"
 RATIO_METRICS="serve_cache_hit_rate serve_mt_cache_hit_rate \
 serve_tslo_resubmit_ok_rate serve_degrade_rate"
 COUNT_METRICS="ilp_bnb_batch_nodes ilp_bnb_batch_pivots ilp_grid_pivots \
-figure_grid_memo_entries"
+ilp_grid_lp_replays figure_grid_memo_entries"
 MIN_DELTA_MS=2
 MAX_RATIO_DROP=0.10
 # Tracer-overhead budget: the traced uncached replay may cost at

@@ -56,6 +56,7 @@ greedyFallback(const LayerDag &dag, const SchedParams &params,
     if (sol) {
         sched.bnbNodes = sol->bnbNodes;
         sched.simplexIters = sol->simplexIters;
+        sched.lpReplays = sol->lpReplays;
     }
     return sched;
 }
@@ -260,6 +261,7 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
     sched.gapBound = std::max(0.0, gapAgainstBound(sol, sol.objective));
     sched.bnbNodes = sol.bnbNodes;
     sched.simplexIters = sol.simplexIters;
+    sched.lpReplays = sol.lpReplays;
 
     if (!validateSchedule(dag, params, sched)) {
         smart_warn("ILP schedule failed validation; using greedy");

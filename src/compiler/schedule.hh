@@ -96,6 +96,7 @@ struct Schedule
     double gapBound = -1.0;
     int bnbNodes = 0;         //!< ILP search effort.
     int simplexIters = 0;     //!< Simplex pivots over all B&B nodes.
+    int lpReplays = 0;        //!< Node LPs re-run with stall tracking.
 
     /** Fraction of class-c accesses served from @p placement. */
     double servedFraction(const LayerDag &dag, ObjClass c,

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
+#include <optional>
 
 #include "common/logging.hh"
 
@@ -40,10 +42,11 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 class Tableau
 {
   public:
+    /** Untracked (!@p track_stall), a phase stops at the Bland threshold. */
     Tableau(const Model &model, const LpRows &rows,
             const std::vector<double> &lb, const std::vector<double> &ub,
-            const SolverOptions &opts, LpWorkspace &ws);
-    /** Zeroes the listed cells: the workspace leaves all-zero. */
+            const SolverOptions &opts, LpWorkspace &ws, bool track_stall);
+    /** Empties the index lists (workspace invariant). */
     ~Tableau();
     Tableau(const Tableau &) = delete;
     Tableau &operator=(const Tableau &) = delete;
@@ -57,23 +60,22 @@ class Tableau
     double objectiveValue(const std::vector<double> &values) const;
     /** Total pivots performed. */
     int iters() const { return iters_; }
+    /** An untracked phase reached the Bland threshold. */
+    bool stalled() const { return stalled_; }
 
   private:
-    /** Write the initial tableau into the (all-zero) buffers. */
+    /** Write the initial tableau; no cell is listed yet. */
     void load();
-    /**
-     * Add cell (i, j) to the index lists unless already listed. The
-     * mark is set last, so a throwing push_back leaves no marked cell
-     * the destructor cannot find.
-     */
+    /** List cell (i, j), zeroed, unless this solve already did. */
     void list(int i, int j)
     {
         unsigned char &mark =
             ws_.listed[static_cast<std::size_t>(i) * cols_ + j];
-        if (!mark) {
+        if (mark != ws_.epoch) {
             ws_.rowNz[i].push_back(j);
             ws_.colNz[j].push_back(i);
-            mark = 1;
+            row(i)[j] = 0.0;
+            mark = ws_.epoch;
         }
     }
     void set(int i, int j, double v)
@@ -112,14 +114,16 @@ class Tableau
     int leaves_ = 1;      //!< Pricing-tree leaves (a power of two).
     int iters_ = 0;
     bool unbounded_ = false;
+    bool track_stall_;
+    bool stalled_ = false;
 };
 
 Tableau::Tableau(const Model &model, const LpRows &rows,
                  const std::vector<double> &lb,
                  const std::vector<double> &ub, const SolverOptions &opts,
-                 LpWorkspace &ws)
+                 LpWorkspace &ws, bool track_stall)
     : model_(model), rows_(rows), lb_(lb), ub_(ub), opts_(opts), ws_(ws),
-      n_(model.numVars())
+      n_(model.numVars()), track_stall_(track_stall)
 {
     for (int j = 0; j < n_; ++j)
         smart_assert(std::isfinite(lb[j]), "variable ", model.varName(j),
@@ -153,13 +157,17 @@ Tableau::Tableau(const Model &model, const LpRows &rows,
     first_artificial_ = n_ + slacks;
     cols_ = n_ + slacks + artificials;
 
-    // The buffers only ever grow; what they already hold is all-zero
-    // (workspace invariant), and so are the grown parts.
+    // The buffers only ever grow. A fresh epoch unlists every cell;
+    // when it wraps, the stamps of the last 255 solves are cleared.
     const std::size_t cells = static_cast<std::size_t>(m_) * cols_;
     if (ws_.a.size() < cells)
         ws_.a.resize(cells, 0.0);
     if (ws_.listed.size() < cells)
         ws_.listed.resize(cells, 0);
+    if (++ws_.epoch == 0) {
+        std::fill(ws_.listed.begin(), ws_.listed.end(), 0);
+        ws_.epoch = 1;
+    }
     if (ws_.rowNz.size() < static_cast<std::size_t>(m_))
         ws_.rowNz.resize(m_);
     if (ws_.colNz.size() < static_cast<std::size_t>(cols_))
@@ -168,16 +176,8 @@ Tableau::Tableau(const Model &model, const LpRows &rows,
 
 Tableau::~Tableau()
 {
-    for (int i = 0; i < m_; ++i) {
-        double *r = row(i);
-        unsigned char *marks =
-            ws_.listed.data() + static_cast<std::size_t>(i) * cols_;
-        for (int j : ws_.rowNz[i]) {
-            r[j] = 0.0;
-            marks[j] = 0;
-        }
+    for (int i = 0; i < m_; ++i)
         ws_.rowNz[i].clear();
-    }
     for (int j = 0; j < cols_; ++j)
         ws_.colNz[j].clear();
 }
@@ -187,6 +187,13 @@ Tableau::load()
 {
     ws_.rhs.assign(m_, 0.0);
     ws_.basis.assign(m_, 0);
+
+    // Structural cells are listed as whole blocks: each column's rows
+    // (before any upper-bound row) and each row's columns (before its
+    // slack/artificial), then valued and marked in one pass.
+    for (int j = 0; j < n_; ++j)
+        ws_.colNz[j].assign(rows_.colRows.begin() + rows_.colStart[j],
+                            rows_.colRows.begin() + rows_.colStart[j + 1]);
 
     // Each row is normalized to rhs >= 0 (negating its terms and
     // flipping its sense), then gets its slack/artificial columns. Rows
@@ -199,8 +206,15 @@ Tableau::load()
         Sense sense = Sense::Le;
         if (i < static_cast<int>(constrs.size())) {
             sense = constrs[i].sense;
-            for (int k = rows_.start[i]; k < rows_.start[i + 1]; ++k)
-                set(i, rows_.cols[k], flip ? -rows_.vals[k] : rows_.vals[k]);
+            const int *cols = rows_.cols.data();
+            ws_.rowNz[i].assign(cols + rows_.start[i],
+                                cols + rows_.start[i + 1]);
+            unsigned char *marks =
+                ws_.listed.data() + static_cast<std::size_t>(i) * cols_;
+            for (int k = rows_.start[i]; k < rows_.start[i + 1]; ++k) {
+                row(i)[cols[k]] = flip ? -rows_.vals[k] : rows_.vals[k];
+                marks[cols[k]] = ws_.epoch;
+            }
         } else {
             while (!std::isfinite(ub_[ub_col]))
                 ++ub_col;
@@ -250,6 +264,7 @@ Tableau::computeReducedRow(const std::vector<double> &cost, int scan_end)
     while (leaves_ < scan_end)
         leaves_ *= 2;
     ws_.tree.resize(2 * static_cast<std::size_t>(leaves_));
+    ws_.treeUp.resize(cols_);
     for (int j = 0; j < leaves_; ++j)
         ws_.tree[leaves_ + j] = j < scan_end ? j : cols_;
     for (int k = leaves_ - 1; k >= 1; --k)
@@ -307,6 +322,10 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         // Pricing: Dantzig (the tree root) unless stalling, then Bland.
         int enter = -1;
         if (stall > bland_threshold) {
+            if (!track_stall_) {
+                stalled_ = true;
+                return false;
+            }
             for (int j = 0; j < scan_end; ++j) {
                 if (red[j] > opts_.eps) {
                     enter = j;
@@ -345,20 +364,44 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         pivot(leave, enter);
         ++iters_;
 
-        // Update reduced costs against the normalized pivot row, then
-        // the tree leaves they moved (the row lists enter itself).
+        // Update reduced costs against the normalized pivot row (it
+        // lists enter itself).
         const double re = red[enter];
         const double *prow = row(leave);
         const std::vector<int> &pcols = ws_.rowNz[leave];
         for (int j : pcols)
             red[j] -= re * prow[j];
         red[enter] = 0.0;
+
+        // Replay the tree above the moved leaves below scan_end, level
+        // by level: all leaves sit on one level, so their sorted node
+        // ids stay sorted as they halve, and each shared ancestor is
+        // matched once, after both of its children.
+        int *up = ws_.treeUp.data();
+        int n = 0;
         for (int j : pcols)
-            for (int k = (leaves_ + j) / 2; j < scan_end && k >= 1; k /= 2)
-                match(k);
+            if (j < scan_end)
+                up[n++] = leaves_ + j;
+        std::sort(up, up + n);
+        while (n > 0 && up[0] > 1) {
+            int w = 0;
+            for (int r = 0; r < n; ++r) {
+                const int parent = up[r] / 2;
+                if (w == 0 || up[w - 1] != parent) {
+                    match(parent);
+                    up[w++] = parent;
+                }
+            }
+            n = w;
+        }
 
         // Stall detection for the Bland fallback, summed in ascending
         // row order over the rows whose basic column has a cost.
+        // Untracked, every pivot counts: a bound on the tracked stall.
+        if (!track_stall_) {
+            ++stall;
+            continue;
+        }
         const std::uint64_t bit = std::uint64_t{1} << (leave % 64);
         cost_rows[leave / 64] = cost[enter] != 0.0
                                     ? cost_rows[leave / 64] | bit
@@ -479,6 +522,19 @@ LpRows::LpRows(const Model &model)
         touched.clear();
         start.push_back(static_cast<int>(cols.size()));
     }
+
+    // Counting sort, filled in row order so each column's rows ascend.
+    // Column j's cursor colStart[j + 1] runs from j's offset to j + 1's,
+    // so the filled vector, less its last slot, holds the offsets.
+    colStart.assign(model.numVars() + 2, 0);
+    for (int j : cols)
+        ++colStart[j + 2];
+    std::partial_sum(colStart.begin(), colStart.end(), colStart.begin());
+    colRows.resize(cols.size());
+    for (std::size_t i = 0; i + 1 < start.size(); ++i)
+        for (int k = start[i]; k < start[i + 1]; ++k)
+            colRows[colStart[cols[k] + 1]++] = static_cast<int>(i);
+    colStart.pop_back();
 }
 
 Solution
@@ -486,13 +542,20 @@ solveLp(const Model &model, const LpRows &rows,
         const std::vector<double> &lb, const std::vector<double> &ub,
         const SolverOptions &opts, LpWorkspace &ws)
 {
-    Tableau t(model, rows, lb, ub, opts, ws);
     Solution sol;
-    sol.status = t.solve();
-    sol.simplexIters = t.iters();
+    std::optional<Tableau> t(std::in_place, model, rows, lb, ub, opts, ws,
+                             false);
+    sol.status = t->solve();
+    if (t->stalled()) {
+        // Replay the whole LP with the stall objective tracked.
+        t.emplace(model, rows, lb, ub, opts, ws, true);
+        sol.status = t->solve();
+        sol.lpReplays = 1;
+    }
+    sol.simplexIters = t->iters();
     if (sol.status == SolveStatus::Optimal) {
-        sol.values = t.extractValues();
-        sol.objective = t.objectiveValue(sol.values);
+        sol.values = t->extractValues();
+        sol.objective = t->objectiveValue(sol.values);
     }
     return sol;
 }

@@ -5,27 +5,31 @@
  * fallback for anti-cycling; variable bounds are folded into the
  * tableau (lower bounds by shifting, upper bounds as explicit rows).
  *
- * Per-pivot and per-node work is proportional to what changes. The
- * tableau values live in a dense row-major store, but every pass over
- * them walks index lists: each row lists the columns of the cells it
- * has written and each column the rows, a superset of the nonzeros.
+ * Per-pivot and per-node work is proportional to what a result reads.
+ * The tableau values live in a dense row-major store, but every pass
+ * over them walks index lists: each row lists the columns of the cells
+ * it has written and each column the rows, a superset of the nonzeros.
  * A pivot touches only the pivot row's listed columns and the entering
  * column's listed rows. Pricing reads the root of an argmax tree over
- * the reduced costs and replays only the pivot row's leaves; the stall
- * objective sums only rows whose basic column has a nonzero cost. A
- * model's rows are merged once (LpRows) and loaded per node bounds.
+ * the reduced costs, replayed level by level above the pivot row's
+ * leaves. A node copies each structural row and column list as one
+ * block from rows merged once per model (LpRows). The stall objective
+ * behind the Bland fallback is skipped: a phase that passes the Bland
+ * threshold in pivots is cut off and the LP replayed with the stall
+ * summed. The stall never exceeds the phase's pivots, so an LP that
+ * stays under the threshold pivots exactly as a tracked one would.
  *
  * Bit-identity contract: the pivot sequence and every floating-point
  * operation on a nonzero cell are exactly those of a dense sweep.
- * Skipped cells are zero, and a zero cell can only ever differ in the
- * sign of that zero, which no comparison observes; skipped stall
- * terms are zero products, which leave a sum started at +0.0 as it
- * is. The tree keeps the lowest index among equal reduced costs, so
- * its root is the column an ascending Dantzig scan picks. The Bland
- * fallback scans in ascending order, the ratio test walks the
- * entering column's rows in ascending order, and phase 1 drives
- * artificials out with the lowest eligible column, so every tie
- * breaks as in the dense sweep.
+ * Unlisted cells are never read and stand for zeros; a cell is +0.0
+ * when first listed, and a zero cell can only ever differ in the sign
+ * of that zero, which no comparison observes. Skipped stall terms are
+ * zero products, which leave a sum started at +0.0 as it is. The tree
+ * keeps the lowest index among equal reduced costs, so its root is the
+ * column an ascending Dantzig scan picks. The Bland fallback scans in
+ * ascending order, the ratio test walks the entering column's rows in
+ * ascending order, and phase 1 drives artificials out with the lowest
+ * eligible column, so every tie breaks as in the dense sweep.
  */
 
 #ifndef SMART_ILP_SIMPLEX_HH
@@ -74,6 +78,7 @@ struct Solution
     std::vector<double> values; //!< One entry per model variable.
     int simplexIters = 0;       //!< Total simplex pivots.
     int bnbNodes = 0;           //!< Branch & bound nodes explored.
+    int lpReplays = 0;          //!< LPs re-run with the stall summed.
     /**
      * Objective-space bound in the model's optimization direction
      * (the root LP relaxation for B&B solves, the objective itself
@@ -101,17 +106,19 @@ struct Solution
  * reallocating per node. A workspace may be reused across models of
  * any size; it must not be shared between threads.
  *
- * Invariant: between solves, `a` and `listed` are all zero and every
- * index list is empty. A solve lays its tableau over the front of the
- * buffers (stride = its column count) and, on every exit path, zeroes
- * exactly the cells it listed, so no solve pays to clear cells it never
- * touched. The buffers grow to the largest model seen and never shrink.
+ * Invariant: between solves, every index list is empty. `listed`
+ * stamps each cell with the epoch of the solve that listed it, and a
+ * cell is zeroed when first listed, so `a` is never cleared; the
+ * stamps are, once every 255 solves, when the epoch wraps. A solve
+ * lays its tableau over the front of the buffers (stride = its column
+ * count). The buffers grow to the largest model seen, never shrink.
  */
 struct LpWorkspace
 {
     // Tableau values (m x cols, row-major), with per-cell list marks.
     std::vector<double> a;
-    std::vector<unsigned char> listed; //!< Cell is in rowNz and colNz.
+    std::vector<unsigned char> listed; //!< Epoch that listed the cell.
+    unsigned char epoch = 0;           //!< This solve's stamp, 1..255.
     std::vector<std::vector<int>> rowNz; //!< Listed columns per row.
     std::vector<std::vector<int>> colNz; //!< Listed rows per column.
     std::vector<double> rhs;
@@ -121,6 +128,7 @@ struct LpWorkspace
     std::vector<double> cost;
     std::vector<double> red; //!< Reduced costs, then a -inf pad.
     std::vector<int> tree;   //!< Argmax tournament over red.
+    std::vector<int> treeUp; //!< Tree nodes to replay, one level.
     std::vector<std::uint64_t> costRows; //!< Rows with cost[basis] != 0.
 };
 
@@ -128,7 +136,8 @@ struct LpWorkspace
  * A model's constraint rows with duplicate terms merged, in the order
  * each variable first appears. Bounds stay out, so one assembly serves
  * every node LP of a branch-and-bound search. Row i holds its terms at
- * [start[i], start[i + 1]).
+ * [start[i], start[i + 1]); the transpose lists variable j's rows in
+ * ascending order at colRows[colStart[j], colStart[j + 1]).
  */
 struct LpRows
 {
@@ -137,6 +146,8 @@ struct LpRows
     std::vector<int> cols;
     std::vector<double> vals;
     std::vector<int> start;
+    std::vector<int> colRows;
+    std::vector<int> colStart;
 };
 
 /** Solve the LP relaxation of @p model (integrality ignored). */

@@ -166,6 +166,7 @@ solve(const Model &model, const SolverOptions &opts)
 
     int nodes = 0;
     int total_iters = 0;
+    int total_replays = 0;
     long next_seq = 0;
     std::vector<Node> stack;                                // DFS phase
     std::priority_queue<Node, std::vector<Node>, NodeOrder> open;
@@ -220,6 +221,7 @@ solve(const Model &model, const SolverOptions &opts)
 
         Solution relax = solveLp(model, rows, lb, ub, opts, ws);
         total_iters += relax.simplexIters;
+        total_replays += relax.lpReplays;
         if (!have_root_bound && relax.status == SolveStatus::Optimal) {
             root_bound = dir * relax.objective;
             have_root_bound = true;
@@ -286,6 +288,7 @@ solve(const Model &model, const SolverOptions &opts)
 
     best.bnbNodes = nodes;
     best.simplexIters = total_iters;
+    best.lpReplays = total_replays;
     if (have_incumbent && node_limit_hit)
         best.status = SolveStatus::NodeLimit;
     // Report the root relaxation back in the model's direction so

@@ -8,8 +8,8 @@
 # so; comparable lines must pass when flat, fail on a wall-time
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
-# counts (solver work, figure-grid ILP pivots and memo entries) fail
-# on any rise, on any host.
+# counts (solver work, figure-grid ILP pivots, LP replays and memo
+# entries) fail on any rise, on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -153,6 +153,24 @@ check "flat grid pivot count passes" 0 "$tmp/gridflat.jsonl" 25
 } > "$tmp/gridup.jsonl"
 check "rising grid pivot count fails across hosts" 1 \
       "$tmp/gridup.jsonl" 25
+
+gridreplays() {
+    # History line for host "$1" with figure-grid LP replays "$2".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"ilp_grid_lp_replays": %s}}}\n' \
+        "$1" "$2"
+}
+{
+    gridreplays hostA 0
+    gridreplays hostA 0
+} > "$tmp/replaysflat.jsonl"
+check "flat grid LP replay count passes" 0 "$tmp/replaysflat.jsonl" 25
+
+{
+    gridreplays hostA 0
+    gridreplays hostB 1
+} > "$tmp/replaysup.jsonl"
+check "rising grid LP replay count fails across hosts" 1 \
+      "$tmp/replaysup.jsonl" 25
 
 memo() {
     # History line for host "$1" with figure-grid memo entries "$2".

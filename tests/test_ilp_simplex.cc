@@ -6,7 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -56,6 +55,52 @@ randomLp(int vars, int rows, std::uint64_t seed)
     LinExpr obj;
     for (int j = 0; j < vars; ++j)
         obj.add(x[j], rng.uniform(-1.0, 2.0));
+    m.setObjective(obj, true);
+    return m;
+}
+
+/**
+ * Chvatal's example, which cycles under Dantzig pricing with the
+ * lowest basis index leaving.
+ */
+Model
+chvatalCyclingLp()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    Model m;
+    std::vector<Var> x;
+    for (int j = 0; j < 4; ++j)
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+    m.addConstr(
+        LinExpr().add(x[0], 0.5).add(x[1], -5.5).add(x[2], -2.5).add(x[3], 9),
+        Sense::Le, 0);
+    m.addConstr(
+        LinExpr().add(x[0], 0.5).add(x[1], -1.5).add(x[2], -0.5).add(x[3], 1),
+        Sense::Le, 0);
+    m.addConstr(LinExpr(x[0]), Sense::Le, 1);
+    m.setObjective(
+        LinExpr().add(x[0], 10).add(x[1], -57).add(x[2], -9).add(x[3], -24),
+        true);
+    return m;
+}
+
+/** The 7-dimensional Klee-Minty cube: 127 improving Dantzig pivots. */
+Model
+kleeMintyLp()
+{
+    const double inf = std::numeric_limits<double>::infinity();
+    const int n = 7;
+    Model m;
+    std::vector<Var> x;
+    LinExpr obj;
+    for (int i = 0; i < n; ++i) {
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+        LinExpr e;
+        for (int j = 0; j < i; ++j)
+            e.add(x[j], 2 * std::pow(10.0, i - j));
+        m.addConstr(e.add(x[i], 1), Sense::Le, std::pow(100.0, i));
+        obj.add(x[i], std::pow(10.0, n - 1 - i));
+    }
     m.setObjective(obj, true);
     return m;
 }
@@ -124,14 +169,10 @@ tableauShape(const Model &m)
     return {rows, m.numVars() + slacks + artificials};
 }
 
-/** The workspace invariant: tableau and list marks zero, lists empty. */
+/** The workspace invariant: every index list is empty. */
 void
-expectClean(const LpWorkspace &ws)
+expectListsEmpty(const LpWorkspace &ws)
 {
-    EXPECT_TRUE(std::all_of(ws.a.begin(), ws.a.end(),
-                            [](double v) { return v == 0.0; }));
-    EXPECT_TRUE(std::all_of(ws.listed.begin(), ws.listed.end(),
-                            [](unsigned char c) { return c == 0; }));
     for (const auto &l : ws.rowNz)
         EXPECT_TRUE(l.empty());
     for (const auto &l : ws.colNz)
@@ -150,6 +191,7 @@ TEST(Simplex, TextbookMaximization)
 
     Solution s = solveLp(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_EQ(s.lpReplays, 0);
     EXPECT_NEAR(s.objective, 2.8, 1e-9);
     EXPECT_NEAR(s.value(x), 1.6, 1e-9);
     EXPECT_NEAR(s.value(y), 1.2, 1e-9);
@@ -166,6 +208,7 @@ TEST(Simplex, MinimizationWithEquality)
 
     Solution s = solveLp(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_EQ(s.lpReplays, 0);
     EXPECT_NEAR(s.objective, 24.0, 1e-9);
 }
 
@@ -178,6 +221,7 @@ TEST(Simplex, GreaterThanConstraints)
     m.setObjective(LinExpr(x), false);
     Solution s = solveLp(m);
     ASSERT_EQ(s.status, SolveStatus::Optimal);
+    EXPECT_EQ(s.lpReplays, 0);
     EXPECT_NEAR(s.value(x), 3.5, 1e-9);
 }
 
@@ -347,22 +391,7 @@ TEST(Simplex, CyclingLpFallsBackToBland)
     // pivots the solver must switch to Bland's first-improving column
     // to escape. Dantzig pricing alone would cycle to the iteration
     // limit.
-    const double inf = std::numeric_limits<double>::infinity();
-    Model m;
-    std::vector<Var> x;
-    for (int j = 0; j < 4; ++j)
-        x.push_back(m.addVar(0, inf, VarType::Continuous));
-    m.addConstr(
-        LinExpr().add(x[0], 0.5).add(x[1], -5.5).add(x[2], -2.5).add(x[3], 9),
-        Sense::Le, 0);
-    m.addConstr(
-        LinExpr().add(x[0], 0.5).add(x[1], -1.5).add(x[2], -0.5).add(x[3], 1),
-        Sense::Le, 0);
-    m.addConstr(LinExpr(x[0]), Sense::Le, 1);
-    m.setObjective(
-        LinExpr().add(x[0], 10).add(x[1], -57).add(x[2], -9).add(x[3], -24),
-        true);
-    expectPinned(solveLp(m), 37, 1.0, {1, 0, 1, 0});
+    expectPinned(solveLp(chvatalCyclingLp()), 37, 1.0, {1, 0, 1, 0});
 }
 
 TEST(Simplex, ImprovingRunKeepsDantzigPricing)
@@ -372,21 +401,33 @@ TEST(Simplex, ImprovingRunKeepsDantzigPricing)
     // stall threshold. The stall objective must track every basic
     // column with a cost so that no pivot looks stalled; a premature
     // switch to Bland's rule takes a shorter path.
-    const double inf = std::numeric_limits<double>::infinity();
-    const int n = 7;
-    Model m;
-    std::vector<Var> x;
-    LinExpr obj;
-    for (int i = 0; i < n; ++i) {
-        x.push_back(m.addVar(0, inf, VarType::Continuous));
-        LinExpr e;
-        for (int j = 0; j < i; ++j)
-            e.add(x[j], 2 * std::pow(10.0, i - j));
-        m.addConstr(e.add(x[i], 1), Sense::Le, std::pow(100.0, i));
-        obj.add(x[i], std::pow(10.0, n - 1 - i));
-    }
-    m.setObjective(obj, true);
-    expectPinned(solveLp(m), 127, 1e12, {0, 0, 0, 0, 0, 0, 1e12});
+    expectPinned(solveLp(kleeMintyLp()), 127, 1e12,
+                 {0, 0, 0, 0, 0, 0, 1e12});
+}
+
+TEST(Simplex, PhasesPastBlandThresholdReplayInReusedWorkspace)
+{
+    // Both LPs run a phase past the Bland threshold, so each is cut off
+    // untracked and replayed once with the stall objective summed. The
+    // replay reuses a workspace a larger model left stale cells in and
+    // must still hit the pins; an LP that stays under the threshold is
+    // never replayed.
+    LpWorkspace ws;
+    auto solve = [&ws](const Model &m) {
+        return solveLp(m, LpRows(m), m.lowerBounds(), m.upperBounds(), {},
+                       ws);
+    };
+    const Solution large = solve(randomLp(60, 45, 7));
+    EXPECT_EQ(large.status, SolveStatus::Optimal);
+    EXPECT_EQ(large.lpReplays, 0);
+
+    const Solution cycling = solve(chvatalCyclingLp());
+    expectPinned(cycling, 37, 1.0, {1, 0, 1, 0});
+    EXPECT_EQ(cycling.lpReplays, 1);
+
+    const Solution cube = solve(kleeMintyLp());
+    expectPinned(cube, 127, 1e12, {0, 0, 0, 0, 0, 0, 1e12});
+    EXPECT_EQ(cube.lpReplays, 1);
 }
 
 TEST(Simplex, DuplicateTermsCancellingToZeroMidExpression)
@@ -426,8 +467,9 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
     // infeasible one (early return after phase 1), an iteration-
     // limited one, the large model again, then back and forth across
     // a 64-row word of the cost-row bitset and a power-of-two size of
-    // the pricing tree: each solve must match a fresh-workspace solve
-    // bit for bit and leave the buffers zero.
+    // the pricing tree, then 300 solves of mixed shapes, so the
+    // one-byte cell epoch wraps: each solve must match a fresh-
+    // workspace solve bit for bit and leave every index list empty.
     const Model large = randomLp(60, 45, 7);
     const Model small = randomLp(12, 9, 8);
     Model infeasible = randomLp(20, 15, 9);
@@ -450,7 +492,7 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
         SolverOptions opts;
         SolveStatus expect;
     };
-    const Case cases[] = {
+    std::vector<Case> cases = {
         {&large, {}, SolveStatus::Optimal},
         {&small, {}, SolveStatus::Optimal},
         {&infeasible, {}, SolveStatus::Infeasible},
@@ -460,6 +502,17 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
         {&above, {}, SolveStatus::Optimal},
         {&below, {}, SolveStatus::Optimal},
     };
+    // The mixed shapes all lay out fewer cells than the large model,
+    // which comes back exactly 255 solves later, at the same epoch:
+    // the wrap must have cleared the stamps its first visit left on
+    // the cells only it reaches.
+    std::vector<Model> mixed;
+    for (int k = 0; k < 10; ++k)
+        mixed.push_back(randomLp(6 + 5 * k, 4 + 4 * (k * 3 % 10), 20 + k));
+    for (int s = 0; s < 300; ++s) {
+        const Model *m = s % 255 == 0 ? &large : &mixed[s * 7 % 10];
+        cases.push_back({m, {}, SolveStatus::Optimal});
+    }
     LpWorkspace ws;
     for (const Case &c : cases) {
         const Solution reused =
@@ -467,7 +520,7 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
                     c.model->upperBounds(), c.opts, ws);
         EXPECT_EQ(reused.status, c.expect);
         expectSameBits(reused, solveLp(*c.model, c.opts));
-        expectClean(ws);
+        expectListsEmpty(ws);
     }
 }
 
