@@ -20,6 +20,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <fstream>
 #include <future>
 #include <set>
@@ -321,8 +322,12 @@ jsonMain(int argc, char **argv)
     metrics.push_back({"ilp_grid_lp_replays", gridWork.lpReplays});
 
     // Serving layer: full-speed replays of the synthetic bursty trace
-    // through the async service — a cold pass (all evaluations) and a
-    // warm pass (cache-dominated), plus the hit rate and tail latency.
+    // through the async service — a cold pass (fresh layer schedules)
+    // and a warm pass (schedule-memo hits only), plus the tail
+    // latency. serve_replay_warm_schedules counts the layer schedules
+    // the warm pass computed into the memo: every shape was scheduled in
+    // the cold pass, so it is 0 unless repeats stopped reaching the
+    // memo (count-gated by check_bench_regression.sh).
     accel::clearIlpCache();
     serve::ServiceConfig scfg;
     scfg.queue.maxDepth = 256; // admit everything: measure the service
@@ -331,22 +336,25 @@ jsonMain(int argc, char **argv)
     timer.reset(); // after setup: the metric is the replay alone
     const auto cold = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
     metrics.push_back({"serve_replay_cold_ms", timer.ms()});
+    const std::uint64_t memoBeforeWarm = accel::ilpCacheInserts();
     timer.reset();
     const auto warm = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
     metrics.push_back({"serve_replay_warm_ms", timer.ms()});
+    metrics.push_back(
+        {"serve_replay_warm_schedules",
+         static_cast<double>(accel::ilpCacheInserts() - memoBeforeWarm)});
     const auto sm = svc.metrics();
-    metrics.push_back({"serve_cache_hit_rate", sm.cacheHitRate});
     metrics.push_back({"serve_latency_p99_ms", sm.latencyP99Ms});
 
     // Adversarial serving: a two-tenant bursty trace (one tenant takes
-    // ~85% of the traffic) against a service with an LRU result cache
-    // too small for the working set and a p95 SLO driving the wave
-    // sizing. The eviction counter replacing full-cache wipes and the
-    // p95-vs-SLO pair are the headline serving metrics tracked across
-    // PRs. Admission is deliberately sized to accept the whole trace
-    // (the checksum must stay deterministic, and rejections would be
-    // timing-dependent); quota/shed enforcement under real pressure
-    // is measured by example_smart_serve and the queue tests instead.
+    // ~85% of the traffic) against a service with a p95 SLO driving
+    // the wave sizing. The p95-vs-SLO pair and the warm pass's new
+    // layer schedules (expected 0) are the headline serving metrics
+    // tracked across PRs. Admission is deliberately sized to accept
+    // the whole trace (the checksum must stay deterministic, and
+    // rejections would be timing-dependent); quota/shed enforcement
+    // under real pressure is measured by example_smart_serve and the
+    // queue tests instead.
     serve::TraceConfig mt;
     mt.tenants = {"hog", "mouse"};
     mt.tenantWeights = {0.85, 0.15};
@@ -354,8 +362,6 @@ jsonMain(int argc, char **argv)
     serve::ServiceConfig mcfg;
     mcfg.queue.maxDepth = 256;
     mcfg.queue.maxPerTenant = 192;
-    mcfg.cacheMaxEntries = 8; // well under the 16-point working set
-    mcfg.cacheShards = 1;
     mcfg.sloP95Ms = 250.0;
     // Admission must accept the whole trace (checksum determinism), so
     // hopeless rejection is off here; serve_slo_* measures it instead.
@@ -368,15 +374,16 @@ jsonMain(int argc, char **argv)
     const auto mtcold =
         serve::replayTrace(mtsvc, mtrace, /*timeScale=*/0.0);
     metrics.push_back({"serve_mt_replay_cold_ms", timer.ms()});
+    const std::uint64_t memoBeforeMtWarm = accel::ilpCacheInserts();
     timer.reset();
     const auto mtwarm =
         serve::replayTrace(mtsvc, mtrace, /*timeScale=*/0.0);
     metrics.push_back({"serve_mt_replay_warm_ms", timer.ms()});
-    const auto mtm = mtsvc.metrics();
-    metrics.push_back({"serve_mt_cache_hit_rate", mtm.cacheHitRate});
     metrics.push_back(
-        {"serve_mt_cache_evictions",
-         static_cast<double>(mtm.cacheEvictions)});
+        {"serve_mt_replay_warm_schedules",
+         static_cast<double>(accel::ilpCacheInserts() -
+                             memoBeforeMtWarm)});
+    const auto mtm = mtsvc.metrics();
     metrics.push_back({"serve_mt_latency_p95_ms", mtm.latencyP95Ms});
     metrics.push_back({"serve_mt_slo_p95_ms", mtm.sloP95Ms});
     metrics.push_back(
@@ -386,19 +393,17 @@ jsonMain(int argc, char **argv)
          static_cast<double>(mtm.sloViolatedWindows)});
 
     // SLO-aware admission: a hopeless burst against a warm service.
-    // A probe pass measures this machine's per-request cost (and the
-    // cache entry size); the SLO service is then given a p95 target a
-    // few evaluations deep, a 0.5 admission factor, and per-tenant
-    // cache budgets. After a short serialized warm phase (which also
-    // overflows the hog tenant's cache slice), a back-to-back burst
-    // floods the queue far past what the SLO allows: most of it must
-    // be refused at submit (RejectedHopeless) instead of being
-    // admitted and failed slowly, and the p95 of what was admitted
-    // stays within the SLO. Admission under an SLO is timing-
-    // dependent by nature (a contention outlier can tip a prediction
-    // over the budget), so nothing evaluated through the SLO service
-    // enters the checksum; only the probe pass — whose service has
-    // no SLO and admits unconditionally — contributes.
+    // A probe pass measures this machine's per-request cost; the SLO
+    // service is then given a p95 target a few evaluations deep and a
+    // 0.5 admission factor. After a short serialized warm phase, a
+    // back-to-back burst floods the queue far past what the SLO
+    // allows: most of it must be refused at submit (RejectedHopeless)
+    // instead of being admitted and failed slowly, and the p95 of what
+    // was admitted stays within the SLO. Admission under an SLO is
+    // timing-dependent by nature (a contention outlier can tip a
+    // prediction over the budget), so nothing evaluated through the
+    // SLO service enters the checksum; only the probe pass — whose
+    // service has no SLO and admits unconditionally — contributes.
     auto sloNet = cnn::convLayersOnly(cnn::makeModel("AlexNet"));
     auto sloReq = [&](int batch, const char *tag) {
         serve::EvalRequest r;
@@ -409,27 +414,19 @@ jsonMain(int argc, char **argv)
         return r;
     };
     double probeChecksum = 0.0;
-    std::size_t perEntryBytes = 0;
     double probedServiceMs = 0.0;
     {
-        serve::ServiceConfig pcfg;
-        pcfg.cacheShards = 1;
-        serve::EvalService probe(pcfg);
+        serve::EvalService probe;
         for (int b = 200; b < 206; ++b) {
             auto resp = probe.submit(sloReq(b, "hog")).response.get();
             probeChecksum += resp.result.throughputTmacs();
         }
-        const auto pm = probe.metrics();
-        perEntryBytes = pm.cacheBytes / std::max<std::size_t>(
-                                            1, pm.cacheEntries);
-        probedServiceMs = pm.estServiceMs;
+        probedServiceMs = probe.metrics().estServiceMs;
     }
     serve::ServiceConfig lcfg;
     lcfg.queue.maxDepth = 512;
     lcfg.maxWave = 8;
     lcfg.minWave = 1;
-    lcfg.cacheShards = 1;
-    lcfg.tenantCacheBytes = 4 * perEntryBytes + 128;
     // ~10 evaluations of end-to-end budget, with a 0.5 admission
     // factor: the wave EWMA is learned on the warm phase's single-
     // item waves and lags the fuller (slower) burst waves, so the
@@ -439,10 +436,10 @@ jsonMain(int argc, char **argv)
     lcfg.sloAdmissionFactor = 0.5;
     serve::EvalService slo(lcfg);
     // Warm phase: serialized submits (depth 0 each time) over 10
-    // distinct hog points + 2 mouse points, warming the estimator
-    // and overflowing the hog's 4-entry tenant slice. Admission is
-    // expected but not guaranteed (an outlier first sample can tip
-    // the SLO path), hence the guard — and no checksum contribution.
+    // distinct hog points + 2 mouse points, warming the estimator.
+    // Admission is expected but not guaranteed (an outlier first
+    // sample can tip the SLO path), hence the guard — and no checksum
+    // contribution.
     for (int b = 200; b < 212; ++b) {
         auto sub = slo.submit(sloReq(b, b < 210 ? "hog" : "mouse"));
         if (sub.admitted())
@@ -480,16 +477,6 @@ jsonMain(int argc, char **argv)
         {"serve_slo_rejected_hopeless",
          static_cast<double>(lm.rejectedHopeless)});
     metrics.push_back({"serve_slo_est_wave_ms", lm.estWaveMs});
-    for (const auto &t : lm.tenantCache) {
-        metrics.push_back(
-            {"serve_slo_tenant_" + serve::metricSafeTag(t.tag) +
-                 "_cache_entries",
-             static_cast<double>(t.entries)});
-        metrics.push_back(
-            {"serve_slo_tenant_" + serve::metricSafeTag(t.tag) +
-                 "_cache_evictions",
-             static_cast<double>(t.evictions)});
-    }
 
     // Per-tenant SLOs: a strict interactive tenant and a lax batch
     // tenant share one service. The baseline run applies the strict
@@ -517,7 +504,6 @@ jsonMain(int argc, char **argv)
         c.queue.maxDepth = 256;
         c.maxWave = 8;
         c.minWave = 1;
-        c.cacheShards = 1;
         c.sloAdmissionFactor = 0.5;
         return c;
     };
@@ -618,8 +604,8 @@ jsonMain(int argc, char **argv)
         auto degNet = cnn::convLayersOnly(cnn::makeModel("AlexNet"));
         const std::string degShape = accel::requestShapeKey(degNet, 1);
         // Distinct request keys over ONE shape class: nudge an SPM
-        // capacity per request so nothing coalesces or cache-hits,
-        // while the estimator still judges them as one shape.
+        // capacity per request so nothing coalesces, while the
+        // estimator still judges them as one shape.
         auto degReq = [&](int i) {
             serve::EvalRequest r;
             r.cfg = accel::makeScheme(accel::Scheme::Smart);
@@ -714,15 +700,13 @@ jsonMain(int argc, char **argv)
 
     // Tracer overhead: the serve replay, untraced vs traced at a
     // 1-in-16 sampling rate. Each timed replay runs cold — the
-    // service result cache refuses every insert (a 1-byte budget; 0
-    // would mean unbounded) and the process-wide schedule/replay
-    // memos are cleared per iteration — so every request re-solves
-    // and re-evaluates, and the pair compares tracer cost against
-    // genuine serve-path work (~hundreds of ms a loop, far above the
-    // gate's noise floor), not cache-lookup trivia. The untraced and
-    // traced replays are interleaved so slow machine drift (thermal,
-    // noisy neighbors) cancels out of the ratio, which is what
-    // check_bench_regression.sh gates at 5%.
+    // process-wide schedule memo is cleared per iteration — so every
+    // request re-solves and re-evaluates, and the pair compares
+    // tracer cost against genuine serve-path work (~hundreds of ms a
+    // loop, far above the gate's noise floor), not memo-lookup
+    // trivia. The untraced and traced replays are interleaved so slow
+    // machine drift (thermal, noisy neighbors) cancels out of the
+    // ratio, which is what check_bench_regression.sh gates at 5%.
     //
     // maxWave=1 serializes the drain, which makes the stage-p95
     // coverage check below statistically sound: with every request
@@ -742,7 +726,6 @@ jsonMain(int argc, char **argv)
 
         serve::ServiceConfig ucfg;
         ucfg.queue.maxDepth = 256;
-        ucfg.cacheMaxBytes = 1; // refuse every insert: real work
         ucfg.maxWave = 1;
         serve::EvalService usvc(ucfg);
 

@@ -3,21 +3,21 @@
  * Serving-layer demo and smoke test: replay a synthetic two-tenant
  * bursty request trace (one tenant takes ~85% of the traffic) against
  * the async evaluation service twice — a cold pass and a warm pass —
- * under a per-tenant admission quota, per-tenant result-cache byte
- * budgets, an LRU result cache smaller than the working set, and
- * per-tenant p95 latency SLOs (the light "mouse" tenant gets a
- * stricter target than the global default the "hog" inherits)
- * driving both the adaptive wave sizing and SLO-aware (hopeless)
- * admission. After the replays it demonstrates estimator-driven
- * deadline assignment: a request with an impossible deadline is
- * refused with a suggested feasible deadline, and the resubmission
- * carrying that suggestion is admitted. Prints admission/cache/
- * latency metrics plus the per-tenant accounting, SLO standing, and
- * cache occupancy. With --json [--out PATH] the final metrics
- * snapshot is also written in the BENCH_micro.json-compatible schema
- * (SERVE_metrics.json by default).
+ * under a per-tenant admission quota and per-tenant p95 latency SLOs
+ * (the light "mouse" tenant gets a stricter target than the global
+ * default the "hog" inherits) driving both the adaptive wave sizing
+ * and SLO-aware (hopeless) admission. After the replays it
+ * demonstrates estimator-driven deadline assignment: a request with
+ * an impossible deadline is refused with a suggested feasible
+ * deadline, and the resubmission carrying that suggestion is
+ * admitted. Prints admission/cache/latency metrics, the layer
+ * schedules each pass computed into the schedule memo, plus the
+ * per-tenant accounting and SLO standing. With --json [--out PATH]
+ * the final metrics snapshot is also written in the
+ * BENCH_micro.json-compatible schema (SERVE_metrics.json by
+ * default).
  *
- * SMART_DISK_CACHE=<path> enables the persistent L2 schedule cache at
+ * SMART_DISK_CACHE=<path> enables the persistent result store at
  * that path, so a second run of this binary against the same file
  * warm-starts from the first run's results (the crash-recovery CI leg
  * runs exactly that, with torn writes injected via SMART_FAULT_*).
@@ -26,20 +26,22 @@
  *
  * Exits nonzero if the replay accounting is inconsistent (a request
  * neither completed nor reported rejected/shed/expired), if the warm
- * pass missed the cache entirely, if the bounded cache overflowed
- * without a single LRU eviction, if any tenant's resident cache
- * bytes exceed its configured budget, if the per-tenant SLO rows are
- * missing from the snapshot, or if the suggested-deadline handshake
- * fails — so CI can run this binary as a correctness smoke test, not
- * just a demo.
+ * pass scheduled a new layer although the cold pass completed every
+ * (model, scheme) pair the warm pass served, if the per-tenant SLO
+ * rows are missing from the snapshot, or if the suggested-deadline
+ * handshake fails — so CI can run this binary as a correctness smoke
+ * test, not just a demo.
  */
 
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <fstream>
 #include <set>
 #include <string>
+#include <utility>
 
+#include "accel/perf.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "serve/trace.hh"
@@ -59,29 +61,10 @@ main(int argc, char **argv)
             out = argv[++i];
     }
 
-    // Probe one evaluation's cache footprint so the per-tenant byte
-    // budget below can be sized in entries (the entry size depends on
-    // the model's layer count, not on anything configurable here).
-    std::size_t perEntryBytes = 0;
-    {
-        serve::ServiceConfig pcfg;
-        pcfg.cacheShards = 1;
-        serve::EvalService probe(pcfg);
-        serve::EvalRequest pr;
-        pr.cfg = accel::makeScheme(accel::Scheme::Sram);
-        pr.model = cnn::convLayersOnly(cnn::makeAlexNet());
-        pr.batch = 1;
-        probe.submit(std::move(pr)).response.get();
-        perEntryBytes = probe.metrics().cacheBytes;
-    }
-
-    // A service sized so the bursty trace exercises admission control
-    // and cache pressure: bounded queue, shed policy, per-tenant
-    // quota, small coalescing waves under a p95 SLO (driving adaptive
-    // wave sizing AND hopeless rejection), an LRU result cache
-    // deliberately smaller than the sweep working set, and per-tenant
-    // cache budgets of ~5 entries so the hog tenant overflows its own
-    // slice without touching the mouse's.
+    // A service sized so the bursty trace exercises admission control:
+    // bounded queue, shed policy, per-tenant quota, and small
+    // coalescing waves under a p95 SLO (driving adaptive wave sizing
+    // AND hopeless rejection).
     serve::ServiceConfig cfg;
     cfg.queue.maxDepth = 48;
     cfg.queue.policy = serve::AdmissionPolicy::Shed;
@@ -98,17 +81,14 @@ main(int argc, char **argv)
     cfg.tenantSlo["mouse"] = {/*p95Ms=*/150.0,
                               /*admissionFactor=*/0.8,
                               /*defaultDeadlineMs=*/0.0};
-    cfg.cacheMaxEntries = 8;
-    cfg.cacheShards = 1;
-    cfg.tenantCacheBytes = 5 * perEntryBytes + 64;
     // End-to-end tracing: sample one submission in four, and keep a
     // small flight-recorder log so the incident dump below stays
     // readable (the bursty replay rejects plenty of requests as
     // hopeless, and each sampled one captures its span history).
     cfg.traceSampleEvery = 4;
     cfg.incidentLogCap = 4;
-    // Persistent L2 (opt-in): point SMART_DISK_CACHE at a file and a
-    // rerun of this binary warm-starts from it across the restart.
+    // Persistent store (opt-in): point SMART_DISK_CACHE at a file and
+    // a rerun of this binary warm-starts from it across the restart.
     const char *diskEnv = std::getenv("SMART_DISK_CACHE");
     if (diskEnv && *diskEnv)
         cfg.diskCachePath = diskEnv;
@@ -126,11 +106,21 @@ main(int argc, char **argv)
               << tcfg.bursts << " bursts, " << tcfg.tenants.size()
               << " tenants) against the service...\n";
 
+    // Repeats are served by the process-wide schedule memo: the warm
+    // pass re-evaluates, but its layers hit schedules the cold pass
+    // made. The memo's insert count per pass counts the new layer
+    // schedules.
+    const std::uint64_t memoStart = accel::ilpCacheInserts();
     const auto cold = serve::replayTrace(svc, trace, /*timeScale=*/1.0);
+    const std::uint64_t memoCold = accel::ilpCacheInserts();
     const auto warm = serve::replayTrace(svc, trace, /*timeScale=*/1.0);
+    const std::uint64_t coldSchedules = memoCold - memoStart;
+    const std::uint64_t warmSchedules =
+        accel::ilpCacheInserts() - memoCold;
 
     Table t({"pass", "completed", "rejected", "hopeless", "shed",
-             "expired", "cache hits", "coalesced", "wall ms"});
+             "expired", "cache hits", "coalesced", "new schedules",
+             "wall ms"});
     for (const auto *p : {&cold, &warm}) {
         t.row()
             .cell(p == &cold ? "cold" : "warm")
@@ -141,6 +131,8 @@ main(int argc, char **argv)
             .integer(static_cast<long long>(p->expired))
             .integer(static_cast<long long>(p->cacheHits))
             .integer(static_cast<long long>(p->coalesced))
+            .integer(static_cast<long long>(
+                p == &cold ? coldSchedules : warmSchedules))
             .num(p->wallMs, 1);
     }
     t.print(std::cout);
@@ -176,7 +168,7 @@ main(int argc, char **argv)
             serve::EvalRequest fr;
             fr.cfg = accel::makeScheme(accel::Scheme::Sram);
             fr.model = cnn::convLayersOnly(cnn::makeAlexNet());
-            fr.batch = 500 + 32 * attempt + i; // all cache misses
+            fr.batch = 500 + 32 * attempt + i; // none coalesce
             fr.tag = "hog";
             auto sub = svc.submit(fr);
             if (sub.admitted())
@@ -208,17 +200,6 @@ main(int argc, char **argv)
               << " (suggested " << suggestedMs << " ms)\n";
 
     const auto m = svc.metrics();
-    Table tc({"tenant", "cache entries", "cache bytes", "budget",
-              "cache evictions"});
-    for (const auto &tcs : m.tenantCache) {
-        tc.row()
-            .cell(tcs.tag)
-            .integer(static_cast<long long>(tcs.entries))
-            .integer(static_cast<long long>(tcs.bytes))
-            .integer(static_cast<long long>(cfg.tenantCacheBytes))
-            .integer(static_cast<long long>(tcs.evictions));
-    }
-    tc.print(std::cout);
 
     Table tslo({"tenant", "completed", "p95 (ms)", "SLO p95 (ms)",
                 "violated windows"});
@@ -234,10 +215,6 @@ main(int argc, char **argv)
 
     Table s({"metric", "value"});
     s.row().cell("cache hit rate (%)").num(100.0 * m.cacheHitRate, 1);
-    s.row().cell("cache evictions").integer(
-        static_cast<long long>(m.cacheEvictions));
-    s.row().cell("cache entries").integer(
-        static_cast<long long>(m.cacheEntries));
     s.row().cell("rejected hopeless").integer(
         static_cast<long long>(m.rejectedHopeless));
     s.row().cell("est service (ms)").num(m.estServiceMs, 3);
@@ -300,35 +277,23 @@ main(int argc, char **argv)
         std::cerr << "FAIL: replay accounting is inconsistent\n";
         return 1;
     }
-    if (warm.completed > 0 && warm.cacheHits == 0) {
-        std::cerr << "FAIL: warm pass produced no cache hits\n";
+    // The warm pass may only schedule layers for (model, scheme)
+    // pairs the cold pass never completed (shed or rejected there);
+    // when the cold pass covered every pair the warm pass served, any
+    // new schedule means repeats stopped reaching the memo.
+    std::set<std::pair<std::string, std::string>> coldPairs;
+    for (const auto &r : cold.responses)
+        if (r.status == serve::ResponseStatus::Ok)
+            coldPairs.insert({r.result.model, r.result.scheme});
+    bool warmCovered = true;
+    for (const auto &r : warm.responses)
+        if (r.status == serve::ResponseStatus::Ok &&
+            !coldPairs.count({r.result.model, r.result.scheme}))
+            warmCovered = false;
+    if (warm.completed > 0 && warmCovered && warmSchedules > 0) {
+        std::cerr << "FAIL: warm pass scheduled " << warmSchedules
+                  << " new layers; repeats missed the schedule memo\n";
         return 1;
-    }
-    if (m.cacheEntries > cfg.cacheMaxEntries) {
-        std::cerr << "FAIL: cache bound not enforced\n";
-        return 1;
-    }
-    // Every distinct served key was resident at some point; more
-    // distinct keys than capacity therefore implies LRU evictions
-    // (the clear-on-overflow failure mode showed up as zero here).
-    std::set<std::uint64_t> digests;
-    for (const auto *p : {&cold, &warm})
-        for (const auto &r : p->responses)
-            if (r.status == serve::ResponseStatus::Ok)
-                digests.insert(r.digest);
-    if (digests.size() > cfg.cacheMaxEntries && m.cacheEvictions == 0) {
-        std::cerr << "FAIL: cache overflowed without LRU evictions\n";
-        return 1;
-    }
-    // Per-tenant budgets: no tenant's resident bytes may exceed its
-    // configured slice, ever (enforced at every put).
-    for (const auto &tcs : m.tenantCache) {
-        if (tcs.bytes > cfg.tenantCacheBytes) {
-            std::cerr << "FAIL: tenant " << tcs.tag
-                      << " over its cache budget (" << tcs.bytes
-                      << " > " << cfg.tenantCacheBytes << ")\n";
-            return 1;
-        }
     }
     // Per-tenant SLO rows: both tenants completed work, so both must
     // carry a latency/SLO row, with the mouse's stricter target and
@@ -345,9 +310,9 @@ main(int argc, char **argv)
                      "the wrong resolved target\n";
         return 1;
     }
-    // Crash-recovery leg: a rerun against a populated disk cache must
-    // actually warm-start (L2 hits promote into L1 and serve), even
-    // when the first run's log carries injected torn writes.
+    // Crash-recovery leg: a rerun against a populated disk store must
+    // actually warm-start (its hits are served without evaluation),
+    // even when the first run's log carries injected torn writes.
     if (expectWarm && m.l2Hits == 0) {
         std::cerr << "FAIL: SMART_EXPECT_WARM set but the run saw no "
                      "L2 (disk cache) hits\n";
@@ -359,8 +324,8 @@ main(int argc, char **argv)
                      "the resubmission failed)\n";
         return 1;
     }
-    std::cout << "OK: all requests accounted for; warm pass hit the "
-                 "LRU-bounded result cache; tenant budgets and SLO "
-                 "rows held; suggested deadline admitted on retry\n";
+    std::cout << "OK: all requests accounted for; warm pass scheduled "
+                 "no new layers; SLO rows held; suggested deadline "
+                 "admitted on retry\n";
     return 0;
 }

@@ -28,22 +28,26 @@
 #    millisecond-scale warm-cache timings from tripping the gate on
 #    scheduler noise while still catching a cache that stopped
 #    working (~100x, not 1.25x).
-#  - Ratios: cache hit rates, the tenant-SLO resubmit success rate,
-#    and the graceful-degradation rescue rate (the fraction of a
-#    hopeless burst served degraded under degradePolicy Auto)
-#    live in [0, 1] and regress by dropping, not slowing; a ratio
-#    fails when it falls more than 10 points (0.10) below the
-#    baseline. Ratios do not depend on machine speed, so they are
-#    judged even when the host stamps differ.
+#  - Ratios: the tenant-SLO resubmit success rate and the
+#    graceful-degradation rescue rate (the fraction of a hopeless
+#    burst served degraded under degradePolicy Auto) live in [0, 1]
+#    and regress by dropping, not slowing; a ratio fails when it
+#    falls more than 10 points (0.10) below the baseline. Ratios do
+#    not depend on machine speed, so they are judged even when the
+#    host stamps differ.
 #  - Counts: deterministic work counters (the knapsack ILP batch's
 #    B&B nodes and simplex pivots, the simplex pivots and LP replays
 #    (node LPs re-run with the simplex stall objective tracked,
-#    expected 0) of the single-image figure grid's ILP schedules, and
-#    the schedule-memo entries
-#    one cold single-image figure grid leaves behind — a rise there
-#    means a memo-key change split layers that share a schedule). They are
-#    exact functions of the code, so a count fails as soon as it
-#    rises at all, and counts are judged across hosts like ratios.
+#    expected 0) of the single-image figure grid's ILP schedules, the
+#    schedule-memo entries one cold single-image figure grid leaves
+#    behind — a rise there means a memo-key change split layers that
+#    share a schedule — and the layer schedules each warm serve replay
+#    computes into the memo (serve_replay_warm_schedules and
+#    serve_mt_replay_warm_schedules, expected 0: the memo is the cache
+#    that serves repeated requests, and a rise means repeats stopped
+#    reaching it). They are exact functions of the code, so a count
+#    fails as soon as it rises at all, and counts are judged across
+#    hosts like ratios.
 #
 # figure_grid_warm_ms (the warm-memo grid re-run) is charted by
 # plot_bench_history.py but not gated yet.
@@ -73,10 +77,10 @@ WALL_METRICS="serve_replay_cold_ms serve_replay_warm_ms \
 serve_mt_replay_cold_ms serve_mt_replay_warm_ms serve_tslo_replay_ms \
 serve_degrade_wall_ms serve_traced_untraced_ms serve_traced_replay_ms \
 figure_grid_single_ms figure_grid_batch_ms"
-RATIO_METRICS="serve_cache_hit_rate serve_mt_cache_hit_rate \
-serve_tslo_resubmit_ok_rate serve_degrade_rate"
+RATIO_METRICS="serve_tslo_resubmit_ok_rate serve_degrade_rate"
 COUNT_METRICS="ilp_bnb_batch_nodes ilp_bnb_batch_pivots ilp_grid_pivots \
-ilp_grid_lp_replays figure_grid_memo_entries"
+ilp_grid_lp_replays figure_grid_memo_entries serve_replay_warm_schedules \
+serve_mt_replay_warm_schedules"
 MIN_DELTA_MS=2
 MAX_RATIO_DROP=0.10
 # Tracer-overhead budget: the traced uncached replay may cost at

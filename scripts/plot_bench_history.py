@@ -41,14 +41,6 @@ FAMILIES = {
             "serve_traced_replay_ms",
         ],
     },
-    "hit_rates": {
-        "title": "Cache hit rates",
-        "log": False,
-        "metrics": [
-            "serve_cache_hit_rate",
-            "serve_mt_cache_hit_rate",
-        ],
-    },
     "rescue_rates": {
         "title": "Rescue / retry success rates",
         "log": False,

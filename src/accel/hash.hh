@@ -1,8 +1,9 @@
 /**
  * @file
  * Canonical request hashing for (configuration, model, batch)
- * evaluation points. The serving layer's result cache and any
- * cross-run memoization key on requestKey(): a byte-exact
+ * evaluation points. The serving layer's persistent result store,
+ * its wave coalescing and any cross-run memoization key on
+ * requestKey(): a byte-exact
  * serialization of every field the performance/energy model reads, so
  * two requests share a key if and only if runInference is guaranteed
  * to produce bit-identical results for both. Distinct configurations

@@ -1,6 +1,7 @@
 #include "accel/perf.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 
@@ -195,7 +196,7 @@ SchedOutcome
 cachedScheduleOutcome(const systolic::ConvLayer &layer,
                       const systolic::ArrayDims &pe,
                       const LayerDemand &d, const ConfigCosts &costs,
-                      SchedMode mode)
+                      SchedMode mode, bool &computed)
 {
     // The key must cover the full layer shape, the PE array the demand
     // was analyzed against, every SchedParams field, and the compiler
@@ -215,7 +216,7 @@ cachedScheduleOutcome(const systolic::ConvLayer &layer,
     if (mode == SchedMode::Greedy)
         key += "|greedy";
     const std::uint64_t traceId = TraceRecorder::currentTrace();
-    bool computed = false;
+    computed = false;
     SchedOutcome out = ilp_cache.getOrCompute(key, [&]() {
         computed = true;
         // The span name carries the pass taken (Ilp/Greedy); the gap
@@ -311,12 +312,20 @@ ilpCacheSize()
     return ilp_cache.size();
 }
 
+std::uint64_t
+ilpCacheInserts()
+{
+    return ilp_cache.inserts();
+}
+
 namespace
 {
 
+/** @p scheduled is set when the layer's schedule was computed here. */
 LayerResult
 runLayerWith(const AcceleratorConfig &cfg, const ConfigCosts &costs,
-             const systolic::ConvLayer &layer, int batch, SchedMode mode)
+             const systolic::ConvLayer &layer, int batch, SchedMode mode,
+             bool &scheduled)
 {
     smart_assert(batch >= 1, "batch must be >= 1");
     const LayerDemand d = systolic::analyzeDemand(layer, cfg.pe);
@@ -448,8 +457,8 @@ runLayerWith(const AcceleratorConfig &cfg, const ConfigCosts &costs,
         // exposing per-pixel dependent latency.
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
-            const SchedOutcome out =
-                cachedScheduleOutcome(layer, cfg.pe, d, costs, mode);
+            const SchedOutcome out = cachedScheduleOutcome(
+                layer, cfg.pe, d, costs, mode, scheduled);
             hidden = out.hidden;
             r.schedQuality = out.quality;
             r.schedGapBound = out.gapBound;
@@ -549,7 +558,9 @@ LayerResult
 runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
          int batch, SchedMode mode)
 {
-    return runLayerWith(cfg, configCosts(cfg), layer, batch, mode);
+    bool scheduled = false;
+    return runLayerWith(cfg, configCosts(cfg), layer, batch, mode,
+                        scheduled);
 }
 
 InferenceResult
@@ -579,10 +590,16 @@ runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
     // not the inlined-serial collapse of the fixed-wave pool.
     const ConfigCosts costs = configCosts(cfg);
     res.layers.resize(model.layers.size());
+    // memory_order: relaxed — a plain tally, read after pFor joins.
+    std::atomic<std::size_t> scheduled{0};
     pFor(model.layers.size(), [&](std::size_t i) {
+        bool s = false;
         res.layers[i] =
-            runLayerWith(cfg, costs, model.layers[i], batch, mode);
+            runLayerWith(cfg, costs, model.layers[i], batch, mode, s);
+        if (s)
+            scheduled.fetch_add(1, std::memory_order_relaxed);
     });
+    res.schedulesComputed = scheduled.load(std::memory_order_relaxed);
     for (const auto &lr : res.layers) {
         res.totalCycles += lr.totalCycles;
         res.weightDramCycles += lr.weightDramCycles;

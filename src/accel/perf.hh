@@ -15,6 +15,7 @@
 #define SMART_ACCEL_PERF_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "accel/config.hh"
@@ -83,6 +84,15 @@ struct InferenceResult
      */
     compiler::Quality schedQuality = compiler::Quality::Optimal;
     double schedGapBound = 0.0;
+    /**
+     * Layer schedules this call computed because the schedule memo
+     * lacked them: 0 when the memo served every scheduled layer (a
+     * layer that waited on another caller's in-flight solve counts as
+     * served) and for schemes that schedule nothing. Run metadata,
+     * not a simulated statistic: a cold and a warm run of the same
+     * point differ here, and serialization leaves it out.
+     */
+    std::size_t schedulesComputed = 0;
 
     /** Achieved throughput (TMAC/s). */
     double throughputTmacs() const;
@@ -128,6 +138,14 @@ void clearIlpCache();
 
 /** Entries in the ILP-schedule memo cache (tests and CI counters). */
 std::size_t ilpCacheSize();
+
+/**
+ * Layer schedules ever computed into the memo (monotonic; eviction
+ * and clearIlpCache() do not lower it). Its delta over a run counts
+ * the schedules that run made, which ilpCacheSize() cannot once the
+ * memo is at its cap.
+ */
+std::uint64_t ilpCacheInserts();
 
 } // namespace smart::accel
 

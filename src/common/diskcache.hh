@@ -2,9 +2,9 @@
  * @file
  * Crash-safe persistent key/value cache: an append-only log of
  * versioned, length-prefixed, checksummed records mirrored by an
- * in-memory map. Built as the L2 under the serving tier's in-process
- * result cache so process restarts warm-start instead of re-solving,
- * but deliberately generic (string keys, opaque byte values).
+ * in-memory map. Built as the serving tier's persistent result store
+ * so process restarts warm-start instead of re-solving, but
+ * deliberately generic (string keys, opaque byte values).
  *
  * Durability model:
  *  - put() appends one record and flushes; a crash mid-append leaves

@@ -104,10 +104,11 @@ class CostEstimator
      *
      *   (predicted wait + predicted service) / factor
      *
-     * This is the `Submission::suggestedDeadlineMs` contract: a
-     * resubmit carrying this deadline passes the wait-based deadline
-     * admission gate by construction while the estimates hold
-     * (wait <= factor * suggested, since service > 0), and it is also
+     * This is the base of `Submission::suggestedDeadlineMs` (the
+     * service adds its batching linger): a resubmit carrying this
+     * deadline passes the wait-based deadline admission gate by
+     * construction while the estimates hold (wait <= factor *
+     * suggested, since service > 0), and it is also
      * the value a tenant's estimator-derived default deadline
      * (TenantSlo::defaultDeadlineMs < 0) assigns at submit. Factors
      * outside (0, inf) are treated as 1; returns 0 while fully cold

@@ -57,9 +57,6 @@ MetricsSnapshot::toMetrics() const
         {"cache_hits", static_cast<double>(cacheHits)},
         {"cache_misses", static_cast<double>(cacheMisses)},
         {"cache_hit_rate", cacheHitRate},
-        {"cache_evictions", static_cast<double>(cacheEvictions)},
-        {"cache_entries", static_cast<double>(cacheEntries)},
-        {"cache_bytes", static_cast<double>(cacheBytes)},
         {"l2_hits", static_cast<double>(l2Hits)},
         {"l2_misses", static_cast<double>(l2Misses)},
         {"l2_puts", static_cast<double>(l2Puts)},
@@ -91,18 +88,9 @@ MetricsSnapshot::toMetrics() const
         {"queue_depth", static_cast<double>(queueDepth)},
         {"queue_high_water", static_cast<double>(queueHighWater)},
     };
-    // Per-tenant cache slices ride at the end, one triple per tag, so
-    // the fixed schema above stays byte-stable for trajectory diffs.
-    for (const auto &t : tenantCache) {
-        const std::string tag = metricSafeTag(t.tag);
-        m.emplace_back("tenant_" + tag + "_cache_entries",
-                       static_cast<double>(t.entries));
-        m.emplace_back("tenant_" + tag + "_cache_bytes",
-                       static_cast<double>(t.bytes));
-        m.emplace_back("tenant_" + tag + "_cache_evictions",
-                       static_cast<double>(t.evictions));
-    }
-    // Per-tenant latency/SLO slices follow, same stable-tail contract.
+    // Per-tenant latency/SLO slices ride at the end, one group per
+    // tag, so the fixed schema above stays byte-stable for trajectory
+    // diffs.
     for (const auto &t : tenantSlo) {
         const std::string tag = metricSafeTag(t.tag);
         m.emplace_back("tenant_" + tag + "_completed",

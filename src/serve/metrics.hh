@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-layer metrics: per-request latency distribution, admission
- * and cache counters, wave/coalescing statistics, and queue-depth
+ * and store-hit counters, wave/coalescing statistics, and queue-depth
  * tracking, exportable as a point-in-time snapshot and as a JSON
  * report with the same flat shape as BENCH_micro.json ({"bench": ...,
  * "threads": N, "metrics": {...}}), so serving metrics slot into the
@@ -45,29 +45,31 @@ struct MetricsSnapshot
      * Subset of completed served through the greedy (anytime)
      * scheduler instead of the ILP — graceful degradation under
      * deadline pressure (Admission::ServedDegraded). A degrade-marked
-     * request that was satisfied by a cached *optimal* result does not
+     * request that was satisfied by a stored *optimal* result does not
      * count here: it was served at full quality.
      */
     std::uint64_t servedDegraded = 0;
     /** Wave evaluation threw; futures carry the exception. */
     std::uint64_t failed = 0;
 
-    std::uint64_t cacheHits = 0;   //!< Requests served from cache.
-    std::uint64_t cacheMisses = 0; //!< Requests that needed evaluation.
-    std::uint64_t coalesced = 0;   //!< Misses that shared a wave item.
+    /**
+     * Completed without computing a layer schedule
+     * (EvalResponse::servedFromCache): persistent-store hits, and
+     * evaluations the schedule memo served whole (schemes without the
+     * ILP compiler schedule nothing and count here too).
+     */
+    std::uint64_t cacheHits = 0;
+    /** Completed evaluations that computed at least one schedule. */
+    std::uint64_t cacheMisses = 0;
+    /** Completed requests that shared another's wave item. */
+    std::uint64_t coalesced = 0;
     std::uint64_t waves = 0;       //!< runBatch waves dispatched.
     std::uint64_t waveItems = 0;   //!< Unique items across all waves.
 
     double cacheHitRate = 0.0; //!< hits / (hits + misses); 0 if none.
     double meanWaveSize = 0.0; //!< waveItems / waves; 0 if none.
 
-    // Result-cache occupancy and LRU eviction accounting (filled by
-    // EvalService::metrics() from the cache's own counters).
-    std::uint64_t cacheEvictions = 0; //!< LRU entries evicted so far.
-    std::size_t cacheEntries = 0;     //!< Resident entries.
-    std::size_t cacheBytes = 0;       //!< Accounted resident bytes.
-
-    // Persistent (L2) schedule/result cache counters (filled by
+    // Persistent (L2) result-store counters (filled by
     // EvalService::metrics() from common/diskcache.hh when
     // ServiceConfig::diskCachePath is set; all zero otherwise).
     std::uint64_t l2Hits = 0;
@@ -112,21 +114,6 @@ struct MetricsSnapshot
      * from TraceRecorder::stageStats()).
      */
     std::vector<StageLatency> stages;
-
-    /** One tenant's slice of the result cache (tagged entries). */
-    struct TenantCache
-    {
-        std::string tag;
-        std::size_t entries = 0;
-        std::size_t bytes = 0;
-        std::uint64_t evictions = 0;
-    };
-    /**
-     * Per-tenant cache occupancy/evictions, ordered by tag (filled
-     * from the LruCache's tag counters when tenantCacheBytes > 0 or
-     * any tagged request was cached).
-     */
-    std::vector<TenantCache> tenantCache;
 
     /** One tenant's latency distribution and SLO standing. */
     struct TenantSloStat
@@ -230,7 +217,8 @@ class ServiceMetrics
      * tags are client-controlled — beyond which samples fold into the
      * global distribution only). @p degraded marks a completion served
      * through the greedy (anytime) scheduler; it feeds the degraded
-     * latency histogram, all others feed the optimal one.
+     * latency histogram, all others feed the optimal one. @p cacheHit
+     * is EvalResponse::servedFromCache().
      */
     void recordCompleted(double totalMs, bool cacheHit, bool coalesced,
                          bool degraded, const std::string &tag);

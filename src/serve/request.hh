@@ -78,7 +78,7 @@ struct EvalRequest
 /** Terminal state of an admitted request. */
 enum class ResponseStatus
 {
-    Ok,      //!< Evaluated (or served from cache); result is valid.
+    Ok,      //!< Evaluated (or served from store); result is valid.
     Shed,    //!< Evicted while queued to admit a higher-priority request.
     Expired  //!< Deadline passed before dispatch.
 };
@@ -103,10 +103,11 @@ struct EvalResponse
 {
     ResponseStatus status = ResponseStatus::Ok;
     accel::InferenceResult result; //!< Valid only when status == Ok.
-    bool cacheHit = false;   //!< Served from the result cache.
+    /** Served from the persistent result store, not evaluated. */
+    bool cacheHit = false;
     bool coalesced = false;  //!< Shared another request's evaluation.
     double queueMs = 0.0;   //!< Submission -> wave dispatch.
-    /** Wave dispatch -> completion (near-zero on a cache hit). */
+    /** Wave dispatch -> completion (near-zero on a store hit). */
     double serviceMs = 0.0;
     double totalMs = 0.0;    //!< Submission -> completion.
     /**
@@ -120,8 +121,9 @@ struct EvalResponse
      * Graceful degradation: true when this request was served through
      * the greedy (anytime) scheduler instead of the ILP. quality and
      * gapBound mirror InferenceResult::schedQuality/schedGapBound,
-     * with CacheHit substituted when the result came from a cache
-     * (the underlying schedule quality is inside `result`).
+     * with CacheHit substituted when the result came from the
+     * persistent store (the underlying schedule quality is inside
+     * `result`).
      */
     bool degraded = false;
     compiler::Quality quality = compiler::Quality::Optimal;
@@ -134,6 +136,19 @@ struct EvalResponse
      * incidents. 0 = not sampled (or tracing disarmed).
      */
     std::uint64_t traceId = 0;
+
+    /**
+     * Answered without computing a layer schedule: a persistent-store
+     * hit, or an evaluation the schedule memo served whole (see
+     * InferenceResult::schedulesComputed; a coalesced request shares
+     * its group head's count). This is what the cache-hit counters
+     * (MetricsSnapshot::cacheHits, ReplayReport::cacheHits) count;
+     * every other Ok response is a cache miss.
+     */
+    bool servedFromCache() const
+    {
+        return cacheHit || result.schedulesComputed == 0;
+    }
 };
 
 /** Admission decision, reported synchronously by submit(). */
@@ -202,10 +217,11 @@ struct Submission
      * it can retry purposefully instead of blind-retrying; the p95
      * SLO gate still applies, so a resubmit into a still-hopeless
      * queue is refused again (with a fresh, larger suggestion). The
-     * budget covers predicted queue drain + service, not the
-     * service's elective batching linger — a retry into an idle
-     * long-linger service should arrive with wave-mates (or the
-     * operator keeps lingers shorter than the budgets it suggests).
+     * budget is predicted queue drain + service, scaled, plus the
+     * service's current batching linger (ServiceConfig::linger, as
+     * scaled under an SLO): a lone retry into an idle queue waits out
+     * the linger before dispatch, and a sub-millisecond memo-hit
+     * service estimate must not make the suggestion expire there.
      * 0 on every non-hopeless outcome, and when the estimator is
      * cold.
      */

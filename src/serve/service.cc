@@ -27,28 +27,6 @@ msBetween(Clock::time_point a, Clock::time_point b)
     return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
-/** Deep size of a cached result: struct + strings + per-layer rows. */
-std::size_t
-inferenceResultBytes(const accel::InferenceResult &r)
-{
-    std::size_t b = sizeof(r) + r.model.size() + r.scheme.size();
-    for (const auto &l : r.layers)
-        b += sizeof(l) + l.name.size();
-    return b;
-}
-
-LruCache<accel::InferenceResult>::Config
-cacheConfigFor(const ServiceConfig &cfg)
-{
-    LruCache<accel::InferenceResult>::Config c;
-    c.maxEntries = cfg.cacheMaxEntries;
-    c.maxBytes = cfg.cacheMaxBytes;
-    c.tagBytes = cfg.tenantCacheBytes;
-    c.shards = cfg.cacheShards;
-    c.valueBytes = inferenceResultBytes;
-    return c;
-}
-
 /**
  * Every Nth consecutive hopeless rejection on an IDLE queue is
  * admitted anyway, as a probe. Rejected requests produce no samples,
@@ -91,8 +69,7 @@ anySloConfigured(const ServiceConfig &cfg)
 
 EvalService::EvalService(ServiceConfig cfg)
     : cfg_(normalized(cfg)), queue_(cfg_.queue),
-      cache_(cacheConfigFor(cfg_)),
-      // The persistent L2 loads (and, if damaged, self-heals) its
+      // The persistent store loads (and, if damaged, self-heals) its
       // on-disk state here, before the dispatcher thread below can
       // consult it — restarts warm-start from the first wave.
       diskCache_(cfg_.diskCachePath.empty()
@@ -142,13 +119,6 @@ EvalService::metrics() const
 {
     MetricsSnapshot s =
         metrics_.snapshot(queue_.depth(), queue_.highWater());
-    const auto cs = cache_.stats();
-    s.cacheEvictions = cs.evictions;
-    s.cacheEntries = cs.entries;
-    s.cacheBytes = cs.bytes;
-    for (const auto &[tag, ts] : cs.tags)
-        s.tenantCache.push_back(
-            {tag, ts.entries, ts.bytes, ts.evictions});
     // memory_order: relaxed — monitoring reads of independent counters;
     // a snapshot is a statistical view, not a synchronization point.
     s.waveLimit = waveLimit_.load(std::memory_order_relaxed);
@@ -387,12 +357,19 @@ EvalService::submit(EvalRequest req)
     // A hopeless rejection always carries the deadline a resubmission
     // could meet (see Submission::suggestedDeadlineMs) instead of
     // leaving the client to blind-retry; shared by the submit-time
-    // gate and the Block post-wait re-check below.
+    // gate and the Block post-wait re-check below. The estimate
+    // covers queue drain + service; a lone retry also waits out the
+    // batching linger before dispatch, so the suggestion adds it.
     auto hopelessRejection = [&](std::size_t depth) {
         Submission rejected{Admission::RejectedHopeless,
                             std::future<EvalResponse>()};
-        rejected.suggestedDeadlineMs =
+        const double budget =
             estimator_.suggestDeadlineMs(shapeKey, depth, slo.factor);
+        if (budget > 0.0)
+            rejected.suggestedDeadlineMs =
+                budget + std::chrono::duration<double, std::milli>(
+                             effectiveLinger())
+                             .count();
         if (traceId) {
             auto &rec = TraceRecorder::global();
             rec.instant(traceId, "admission",
@@ -605,7 +582,8 @@ EvalService::resolve(Pending &&p, EvalResponse &&r)
 {
     switch (r.status) {
       case ResponseStatus::Ok:
-        metrics_.recordCompleted(r.totalMs, r.cacheHit, r.coalesced,
+        metrics_.recordCompleted(r.totalMs, r.servedFromCache(),
+                                 r.coalesced,
                                  r.degraded, r.tag);
         if (sloActive_) {
             LockGuard lock(sloMu_);
@@ -826,12 +804,12 @@ EvalService::serveWave(std::vector<Pending> &&wave)
 {
     const auto dispatch = Clock::now();
 
-    // Requests whose key already has a ready cache entry complete
+    // Requests whose key the persistent store already holds complete
     // immediately; the rest are grouped by key so identical requests
     // in one wave share a single evaluation (coalescing).
     struct Group
     {
-        /** Cache/coalescing key: the canonical key, or its "|greedy"
+        /** Store/coalescing key: the canonical key, or its "|greedy"
          *  twin for degraded groups. View into the wave key arena. */
         std::string_view evalKey;
         std::vector<Pending> members;
@@ -864,7 +842,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         r.coalesced = coalesced;
         // Quality surfacing: a degrade-marked request only reports
         // degraded when the result it got actually came off the
-        // greedy path — one satisfied by a cached optimal result was
+        // greedy path — one satisfied by a stored optimal result was
         // served at full quality and must not inflate the degraded
         // counters.
         r.quality = cache_hit ? compiler::Quality::CacheHit
@@ -881,36 +859,25 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         resolve(std::move(p), std::move(r));
     };
 
-    // A degrade-marked request is happily served by a cached OPTIMAL
-    // result — strictly better quality at cache-hit cost — so its
+    // A degrade-marked request is happily served by a stored OPTIMAL
+    // result — strictly better quality at store-hit cost — so its
     // lookup tries the optimal key first, then its own "|greedy"
     // twin. The reverse never holds: degraded results live under the
-    // suffixed key and are invisible to full-quality requests. An L1
-    // miss consults the persistent L2 (same key order); a decodable
-    // L2 hit is promoted into the in-process cache under the key it
-    // was found with.
-    auto cacheLookup = [&](const Pending &p, std::string_view evalKey,
+    // suffixed key and are invisible to full-quality requests.
+    auto storeLookup = [&](const Pending &p, std::string_view evalKey,
                            accel::InferenceResult &out) {
-        auto &rec = TraceRecorder::global();
-        if (cache_.get(p.key, out) ||
-            (p.degrade && cache_.get(evalKey, out))) {
-            rec.instant(p.traceId, "schedule_cache_hit");
-            return true;
-        }
-        if (!diskCache_)
-            return false;
         const std::string_view keys[2] = {
             p.key, p.degrade ? evalKey : std::string_view()};
         for (std::string_view k : keys) {
             if (k.empty())
                 continue;
             std::string bytes;
-            // The persistent L2 is a cold-path file store; it keeps
+            // The persistent store is a cold-path file store; it keeps
             // its std::string API and pays one key copy per probe.
             if (diskCache_->get(std::string(k), bytes) &&
                 accel::deserializeInferenceResult(bytes, out)) {
-                cache_.put(k, out, p.req.tag);
-                rec.instant(p.traceId, "schedule_l2_hit");
+                TraceRecorder::global().instant(p.traceId,
+                                                "schedule_l2_hit");
                 return true;
             }
         }
@@ -937,13 +904,13 @@ EvalService::serveWave(std::vector<Pending> &&wave)
             keyArena.intern2(keyScratch, kGreedySuffix);
         p.key = block.substr(0, keyScratch.size());
         p.digest = accel::requestDigest(p.key);
-        // Degraded evaluations are keyed (L1, L2, and coalescing
+        // Degraded evaluations are keyed (store and coalescing
         // groups) under the canonical key plus "|greedy", so the two
-        // paths never collide in the cache or share a wave item.
+        // paths never collide in the store or share a wave item.
         const std::string_view evalKey = p.degrade ? block : p.key;
-        accel::InferenceResult cached;
-        if (cfg_.cacheEnabled && cacheLookup(p, evalKey, cached)) {
-            resolveOk(std::move(p), cached, /*cache_hit=*/true,
+        accel::InferenceResult stored;
+        if (diskCache_ && storeLookup(p, evalKey, stored)) {
+            resolveOk(std::move(p), stored, /*cache_hit=*/true,
                       /*coalesced=*/false);
             continue;
         }
@@ -967,9 +934,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         // pool-parallel runBatch — and nested per-layer pFor inside
         // runInference now feeds the same deques instead of running
         // serially. Fulfilment is race-free without extra locking:
-        // group membership is disjoint, and put() enforces the LRU
-        // budget per shard, so a full cache evicts its coldest
-        // entries instead of wiping concurrent tasks' inserts.
+        // group membership is disjoint.
         const auto waveStart = Clock::now();
         TaskGroup tasks;
         for (auto &g : groups) {
@@ -987,18 +952,14 @@ EvalService::serveWave(std::vector<Pending> &&wave)
                     head.req.cfg, head.req.model, head.req.batch,
                     head.degrade ? accel::SchedMode::Greedy
                                  : accel::SchedMode::Ilp);
-                // Cache ownership and the cost sample both follow the
-                // group head; read its fields before resolveOk moves
-                // them into the response. Degraded groups write under
-                // the "|greedy" key and feed the greedy shape EWMA,
-                // keeping both paths' cost models separate.
-                if (cfg_.cacheEnabled) {
-                    cache_.put(g.evalKey, res, head.req.tag);
-                    if (diskCache_)
-                        diskCache_->put(
-                            std::string(g.evalKey),
-                            accel::serializeInferenceResult(res));
-                }
+                // The cost sample follows the group head; read its
+                // fields before resolveOk moves them into the
+                // response. Degraded groups store under the "|greedy"
+                // key and feed the greedy shape EWMA, keeping both
+                // paths' cost models separate.
+                if (diskCache_)
+                    diskCache_->put(std::string(g.evalKey),
+                                    accel::serializeInferenceResult(res));
                 estimator_.recordService(
                     accel::requestShapeKey(head.req.model,
                                            head.req.batch) +

@@ -23,23 +23,26 @@
  *    the estimator predicts a resubmission could meet — and requests
  *    submitted without a deadline inherit their tenant's (optionally
  *    estimator-derived) default.
- *  - Result caching: a sharded cache keyed on the canonical
- *    accel::requestKey, so repeated sweep points (figure grids, DSE
- *    re-runs) are served without re-evaluation. Identical requests in
- *    the same wave are coalesced into a single evaluation.
+ *  - Repeat serving: identical requests in one wave are coalesced
+ *    into a single evaluation, and runInference's process-wide
+ *    layer-schedule memo makes a repeated sweep point cost memo
+ *    lookups, not ILP solves. ServiceConfig::diskCachePath adds an
+ *    optional persistent store keyed on accel::requestKey, so a
+ *    restarted process warm-starts.
  *  - Metrics: per-request latency (p50/p95/p99), throughput, queue
- *    depth, and cache hit rate (serve/metrics.hh), exportable as a
- *    BENCH_micro.json-compatible snapshot.
+ *    depth, and the share of requests served without computing a
+ *    layer schedule (cache hit rate, serve/metrics.hh),
+ *    exportable as a BENCH_micro.json-compatible snapshot.
  *
  * Determinism contract: an admitted request's result is bit-identical
  * to a direct runInference(cfg, model, batch) call — evaluation goes
- * through the same runBatch path, and the cache key covers every
+ * through the same path, and the request key covers every
  * result-relevant input byte (see accel/hash.hh). A degraded request
  * (graceful degradation, ServiceConfig::degradePolicy) is likewise
  * bit-identical to runInference(cfg, model, batch, SchedMode::Greedy);
- * degraded results live under a distinct cache key ("<key>|greedy"),
- * though a degraded request is happy to take an already-cached
- * optimal result — better quality at the same (cached, ~zero) cost.
+ * degraded results are stored under a distinct key ("<key>|greedy"),
+ * though a degraded request is happy to take an already-stored
+ * optimal result — better quality at the same (~zero) cost.
  */
 
 #ifndef SMART_SERVE_SERVICE_HH
@@ -52,7 +55,6 @@
 
 #include "accel/batch.hh"
 #include "common/diskcache.hh"
-#include "common/parallel.hh"
 #include "common/threadsafety.hh"
 #include "serve/estimator.hh"
 #include "serve/metrics.hh"
@@ -91,9 +93,10 @@ struct TenantSlo
      * a fixed queue-time budget in ms; a negative value derives the
      * deadline from the cost estimator at submit time — the same
      * wait-plus-service-over-factor formula as
-     * Submission::suggestedDeadlineMs — so an interactive tenant's
-     * requests expire promptly once the queue outgrows what the
-     * estimator believes they can survive, instead of languishing.
+     * Submission::suggestedDeadlineMs, without its linger term — so
+     * an interactive tenant's requests expire promptly once the queue
+     * outgrows what the estimator believes they can survive, instead
+     * of languishing.
      * (An estimator-derived deadline tracks load: while the estimator
      * is cold no deadline is assigned.)
      */
@@ -142,7 +145,7 @@ degradePolicyName(DegradePolicy p)
     return "?";
 }
 
-/** Service shape: queue bounds, wave policy, SLO, cache policy. */
+/** Service shape: queue bounds, wave policy, SLO, degradation. */
 struct ServiceConfig
 {
     QueueConfig queue; //!< Depth bound + admission policy + quotas.
@@ -186,10 +189,7 @@ struct ServiceConfig
      * requests yield no samples, so an idle service admits every 8th
      * consecutive hopeless rejection as a probe — a stuck-high
      * estimate re-measures and admission self-heals instead of
-     * locking a shape out forever. The prediction
-     * assumes a cache miss: a would-be cache hit arriving behind a
-     * hopeless queue is rejected too — the conservative trade-off for
-     * keeping submit() free of the expensive canonical-key hash.
+     * locking a shape out forever.
      */
     double sloAdmissionFactor = 1.0;
     /**
@@ -205,30 +205,6 @@ struct ServiceConfig
      * against the submitting tenant's entry.
      */
     std::map<std::string, TenantSlo> tenantSlo;
-    bool cacheEnabled = true;
-    /**
-     * Result-cache entry budget, enforced by per-shard LRU eviction
-     * (common/parallel.hh LruCache). 0 means unbounded.
-     */
-    std::size_t cacheMaxEntries = 4096;
-    /**
-     * Result-cache byte budget (keys + deep value sizes + node
-     * overhead), LRU-enforced like cacheMaxEntries. 0 = unbounded.
-     */
-    std::size_t cacheMaxBytes = 64ull << 20;
-    /**
-     * Per-tenant result-cache byte budget, keyed on the request tag:
-     * a tenant over budget evicts its own least-recently-used entries
-     * first, so one flooding tenant can no longer monopolize the
-     * cache the way it can no longer monopolize the queue
-     * (QueueConfig::maxPerTenant). Per-tenant occupancy and eviction
-     * counters are exported in MetricsSnapshot::tenantCache. A
-     * coalesced wave entry is charged to the tenant whose request
-     * triggered the evaluation. 0 disables per-tenant budgets.
-     */
-    std::size_t tenantCacheBytes = 0;
-    /** Cache lock granularity; 1 gives a single exact LRU order. */
-    std::size_t cacheShards = 16;
     /**
      * Graceful degradation policy (see DegradePolicy): Off preserves
      * the reject-hopeless behavior, Auto converts would-be
@@ -245,12 +221,12 @@ struct ServiceConfig
      */
     double maxQualityMs = 0.0;
     /**
-     * Path of the persistent L2 schedule cache (common/diskcache.hh).
+     * Path of the persistent result store (common/diskcache.hh).
      * Empty disables it. When set, evaluated results are appended to
-     * the on-disk log and L1 misses consult it before evaluating, so
-     * a restarted process warm-starts instead of re-solving;
-     * hit/miss/corrupt-skipped counters surface in the metrics
-     * snapshot.
+     * the on-disk log and every request consults it before
+     * evaluating, so a restarted process warm-starts instead of
+     * re-solving; its hits count in the snapshot's cacheHits, and its
+     * hit/miss/corrupt-skipped counters surface as l2_*.
      */
     std::string diskCachePath;
     /**
@@ -346,7 +322,7 @@ class EvalService
     void finish(Pending &&p, ResponseStatus status);
     /** Drop one request from the drain count (after its promise is set). */
     void releaseDrainSlot();
-    /** Evaluate one wave: cache lookups, coalescing, runBatch. */
+    /** Evaluate one wave: store lookups, coalescing, evaluation. */
     void serveWave(std::vector<Pending> &&wave);
     /**
      * One SLO adaptation step (no-op until a full window of Ok
@@ -417,8 +393,7 @@ class EvalService
 
     ServiceConfig cfg_;
     RequestQueue queue_;
-    LruCache<accel::InferenceResult> cache_;
-    /** Persistent L2 under the in-process cache; null when disabled. */
+    /** Persistent result store; null when disabled. */
     std::unique_ptr<DiskCache> diskCache_;
     CostEstimator estimator_;
     ServiceMetrics metrics_;

@@ -178,7 +178,7 @@ replayTrace(EvalService &svc, const std::vector<TraceRequest> &trace,
                 ++rep.servedDegraded;
                 ++tally.servedDegraded;
             }
-            if (r.cacheHit) {
+            if (r.servedFromCache()) {
                 ++rep.cacheHits;
                 ++tally.cacheHits;
             }

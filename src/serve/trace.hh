@@ -3,7 +3,7 @@
  * Synthetic request traces for the evaluation service: bursty arrivals
  * over a mixed (model, scheme, batch) working set with a configurable
  * repeat fraction, so replays exercise admission control, wave
- * coalescing, and the result cache the way figure-sweep traffic does.
+ * coalescing, and the schedule memo the way figure-sweep traffic does.
  * Deterministic per seed (common/rng.hh). Tenant mixes carry
  * per-tenant weights and (optionally) per-tenant deadline budgets.
  * replayTrace() drives a service with a trace and reports full
@@ -45,7 +45,7 @@ struct TraceConfig
     /**
      * Probability that a request repeats an earlier sweep point
      * instead of drawing a fresh one — the figure-sweep redundancy the
-     * result cache exists for.
+     * schedule memo serves.
      */
     double repeatFraction = 0.7;
     std::uint64_t seed = 1;
@@ -75,7 +75,7 @@ struct TraceConfig
     /**
      * Per-tenant draw weights aligned with tenants (empty = uniform).
      * Skewed weights (e.g. {0.9, 0.1}) make one tenant bursty — the
-     * adversarial shape the fairness and LRU work targets.
+     * adversarial shape the fairness work targets.
      */
     std::vector<double> tenantWeights;
 };
@@ -114,6 +114,7 @@ struct ReplayReport
      * (counted inside completed, so consistent() is unaffected).
      */
     std::size_t servedDegraded = 0;
+    /** Subset of completed with EvalResponse::servedFromCache(). */
     std::size_t cacheHits = 0;
     std::size_t coalesced = 0;
     std::size_t rejected = 0; //!< Refused at submit().
@@ -179,7 +180,7 @@ struct ReplayOptions
  * time scaled by opts.timeScale, wait for every admitted future,
  * optionally retry hopeless rejections with their suggested deadline
  * (opts.resubmitOnSuggestion), and tally. The service is left running
- * (callers may replay again to measure cache reuse).
+ * (callers may replay again to measure schedule-memo reuse).
  */
 ReplayReport replayTrace(EvalService &svc,
                          const std::vector<TraceRequest> &trace,

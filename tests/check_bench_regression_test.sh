@@ -8,8 +8,9 @@
 # so; comparable lines must pass when flat, fail on a wall-time
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
-# counts (solver work, figure-grid ILP pivots, LP replays and memo
-# entries) fail on any rise, on any host.
+# counts (solver work, figure-grid ILP pivots, LP replays, memo
+# entries and the layer schedules a warm serve replay adds) fail on
+# any rise, on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -38,7 +39,7 @@ line() {
     # One history line for host "$1" with the given metric overrides;
     # "$7" is an optional boot stamp (two boot-less lines compare by
     # host alone, matching the gate's legacy fallback).
-    printf '{"sha": "%s", "host": "%s", "boot": "%s", "report": {"metrics": {"serve_replay_cold_ms": %s, "serve_replay_warm_ms": 1.0, "serve_mt_replay_cold_ms": 2.0, "serve_mt_replay_warm_ms": 1.0, "serve_tslo_replay_ms": %s, "serve_cache_hit_rate": %s, "serve_mt_cache_hit_rate": 0.5, "serve_tslo_resubmit_ok_rate": %s}}}\n' \
+    printf '{"sha": "%s", "host": "%s", "boot": "%s", "report": {"metrics": {"serve_replay_cold_ms": %s, "serve_replay_warm_ms": 1.0, "serve_mt_replay_cold_ms": 2.0, "serve_mt_replay_warm_ms": 1.0, "serve_tslo_replay_ms": %s, "serve_degrade_rate": %s, "serve_tslo_resubmit_ok_rate": %s}}}\n' \
         "$2" "$1" "${7:-}" "$3" "$4" "$5" "$6"
 }
 
@@ -86,7 +87,7 @@ check "serve_tslo wall regression fails" 1 "$tmp/tsloreg.jsonl" 25
     line hostA aaaa 5.0 5.0 0.9 1.0
     line hostA bbbb 5.0 5.0 0.6 1.0
 } > "$tmp/ratioreg.jsonl"
-check "cache hit-rate drop > 10 pts fails" 1 "$tmp/ratioreg.jsonl" 25
+check "degrade-rate drop > 10 pts fails" 1 "$tmp/ratioreg.jsonl" 25
 
 {
     line hostA aaaa 5.0 5.0 0.9 1.0
@@ -189,6 +190,32 @@ check "flat memo entry count passes" 0 "$tmp/memoflat.jsonl" 25
 } > "$tmp/memoup.jsonl"
 check "rising memo entry count fails across hosts" 1 \
       "$tmp/memoup.jsonl" 25
+
+warmsched() {
+    # History line for host "$1" with warm-replay layer schedules "$2"
+    # (single-tenant) and "$3" (two-tenant).
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"serve_replay_warm_schedules": %s, "serve_mt_replay_warm_schedules": %s}}}\n' \
+        "$1" "$2" "$3"
+}
+{
+    warmsched hostA 0 0
+    warmsched hostA 0 0
+} > "$tmp/warmflat.jsonl"
+check "flat warm-replay schedule counts pass" 0 "$tmp/warmflat.jsonl" 25
+
+{
+    warmsched hostA 0 0
+    warmsched hostB 3 0
+} > "$tmp/warmup.jsonl"
+check "rising warm-replay schedule count fails across hosts" 1 \
+      "$tmp/warmup.jsonl" 25
+
+{
+    warmsched hostA 0 0
+    warmsched hostA 0 1
+} > "$tmp/mtwarmup.jsonl"
+check "rising two-tenant warm-replay schedule count fails" 1 \
+      "$tmp/mtwarmup.jsonl" 25
 
 # --- boot stamps: a hostname alone is not a machine identity --------
 {

@@ -247,6 +247,31 @@ TEST(Perf, MemoKeyAliasesNothing)
     clearIlpCache();
 }
 
+TEST(Perf, SchedulesComputedCountsMemoMisses)
+{
+    // A cold call computes each distinct layer schedule once; a warm
+    // repeat, another batch size (not part of the memo key) and a
+    // scheme without the ILP compiler compute none. ilpCacheInserts()
+    // counts the same misses and survives clearIlpCache().
+    const auto model = cnn::convLayersOnly(cnn::makeAlexNet());
+    clearIlpCache();
+    const std::uint64_t inserts = ilpCacheInserts();
+    const auto cold = runInference(makeSmart(), model, 1);
+    EXPECT_GT(cold.schedulesComputed, 0u);
+    EXPECT_EQ(cold.schedulesComputed, ilpCacheSize());
+    EXPECT_EQ(ilpCacheInserts() - inserts, cold.schedulesComputed);
+    EXPECT_EQ(runInference(makeSmart(), model, 1).schedulesComputed, 0u);
+    EXPECT_EQ(runInference(makeSmart(), model, 8).schedulesComputed, 0u);
+    EXPECT_EQ(runInference(makeScheme(Scheme::Sram), model, 1)
+                  .schedulesComputed,
+              0u);
+    clearIlpCache();
+    EXPECT_EQ(ilpCacheInserts() - inserts, cold.schedulesComputed);
+    EXPECT_EQ(runInference(makeSmart(), model, 1).schedulesComputed,
+              cold.schedulesComputed);
+    clearIlpCache();
+}
+
 /** Parameterized per-model smoke: every scheme completes. */
 class SchemeModelSweep
     : public ::testing::TestWithParam<std::tuple<int, std::string>>

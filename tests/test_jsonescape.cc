@@ -220,7 +220,7 @@ TEST(JsonEscape, FlatReportWithHostileKeysAndBenchNameParses)
 {
     std::vector<std::pair<std::string, double>> metrics = {
         {"plain_metric", 1.0},
-        {"tenant_" + kHostileTag + "_cache_entries", 3.0},
+        {"tenant_" + kHostileTag + "_completed", 3.0},
         {std::string("nul\0byte", 8), 4.0},
     };
     std::ostringstream os;
@@ -260,13 +260,13 @@ TEST(MetricSafeTag, SnapshotWithHostileTenantTagsEmitsValidJson)
 {
     serve::MetricsSnapshot snap;
     snap.submitted = 2;
-    snap.tenantCache.push_back({kHostileTag, 1, 128, 0});
-    snap.tenantCache.push_back({"normal", 2, 256, 1});
+    snap.tenantSlo.push_back({kHostileTag, 1, 0.5, 0.9, 0, 10.0, 0});
+    snap.tenantSlo.push_back({"normal", 2, 0.4, 0.8, 1, 10.0, 1});
     snap.stages.push_back({"queue_wait", 4, 0.5, 1.5});
 
     const std::string json = snap.toJson("hostile_tag_bench");
     EXPECT_TRUE(jsonValid(json)) << json;
-    EXPECT_NE(json.find("tenant_normal_cache_entries"),
+    EXPECT_NE(json.find("tenant_normal_slo_violated_windows"),
               std::string::npos);
     EXPECT_NE(json.find("stage_queue_wait_p95_ms"),
               std::string::npos);

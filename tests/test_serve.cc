@@ -4,8 +4,8 @@
  * (priority order, reject/shed/deadline handling, per-tenant quotas
  * and fair shed-victim selection, deadline-aware linger wakeups), and
  * EvalService end-to-end behavior — admitted results bit-identical to
- * direct runInference, repeated sweeps served from cache, LRU
- * eviction protecting hot entries under cache pressure, SLO-adaptive
+ * direct runInference, repeated sweeps served from the schedule memo
+ * without a single new layer schedule, SLO-adaptive
  * wave sizing, rejections and sheds always reported, metrics
  * accounting closed under drain, and the synthetic trace replay
  * acceptance criteria.
@@ -557,7 +557,7 @@ TEST(EvalService, AdmittedResultsBitIdenticalToDirectRunInference)
     }
 }
 
-TEST(EvalService, RepeatedSweepServedFromCache)
+TEST(EvalService, RepeatedSweepServedFromScheduleMemo)
 {
     setInformEnabled(false);
     auto net = cnn::convLayersOnly(cnn::makeAlexNet());
@@ -567,8 +567,12 @@ TEST(EvalService, RepeatedSweepServedFromCache)
         for (int b : {1, 4})
             sweep.push_back(makeRequest(s, net, b));
 
+    accel::clearIlpCache(); // pass 0 schedules every SMART layer
+    const std::uint64_t inserts0 = accel::ilpCacheInserts();
     serve::EvalService svc;
     std::vector<serve::EvalResponse> first, third;
+    std::uint64_t firstPassInserts = 0;
+    std::size_t firstPassSchedules = 0;
     for (int pass = 0; pass < 3; ++pass) {
         std::vector<std::future<serve::EvalResponse>> futures;
         for (auto &r : sweep) {
@@ -579,22 +583,41 @@ TEST(EvalService, RepeatedSweepServedFromCache)
         for (auto &f : futures) {
             auto resp = f.get();
             ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-            // Later passes must be pure hits: pass 0 resolved every
-            // future, so every key is cached (hits or coalesced
-            // within-wave shares notwithstanding).
-            if (pass > 0) {
-                EXPECT_TRUE(resp.cacheHit);
-            }
+            // No persistent store: every request is evaluated.
+            EXPECT_FALSE(resp.cacheHit);
+            if (pass == 0)
+                firstPassSchedules += resp.result.schedulesComputed;
+            else
+                EXPECT_EQ(resp.result.schedulesComputed, 0u)
+                    << "pass " << pass;
+            EXPECT_EQ(resp.servedFromCache(),
+                      resp.result.schedulesComputed == 0);
             (pass == 0 ? first : third).push_back(std::move(resp));
         }
+        // Pass 0 scheduled every layer shape of the sweep; later
+        // passes re-evaluate through memo hits and schedule nothing.
+        const std::uint64_t inserts = accel::ilpCacheInserts() - inserts0;
+        if (pass == 0)
+            firstPassInserts = inserts;
+        else
+            EXPECT_EQ(inserts, firstPassInserts)
+                << "pass " << pass << " scheduled new layers";
     }
+    EXPECT_GT(firstPassInserts, 0u);
 
+    // Each layer schedule was computed by exactly one first-pass
+    // request. Only those (SMART) requests are cache misses: the
+    // other schemes schedule nothing, and later passes are served
+    // whole by the memo.
+    EXPECT_EQ(firstPassSchedules, firstPassInserts);
     const auto m = svc.metrics();
-    EXPECT_GT(m.cacheHitRate, 0.5); // acceptance: repeated sweep > 50%
+    EXPECT_GE(m.cacheMisses, 1u);
+    EXPECT_LE(m.cacheMisses, 2u);
+    EXPECT_EQ(m.cacheHits + m.cacheMisses, m.completed);
     EXPECT_EQ(m.completed, 3 * sweep.size());
     EXPECT_GT(m.latencyP99Ms, 0.0); // p99 present in the snapshot
 
-    // Cached responses carry bit-identical results.
+    // Re-evaluated responses carry bit-identical results.
     ASSERT_EQ(first.size(), sweep.size());
     for (std::size_t i = 0; i < sweep.size(); ++i)
         expectIdentical(third[third.size() - sweep.size() + i].result,
@@ -669,47 +692,6 @@ TEST(EvalService, ShedRequestsResolveWithShedStatus)
     EXPECT_EQ(h1.response.get().status, serve::ResponseStatus::Ok);
     EXPECT_EQ(h2.response.get().status, serve::ResponseStatus::Ok);
     EXPECT_EQ(svc.metrics().shed, 2u);
-}
-
-TEST(EvalService, LruCacheKeepsHotEntriesUnderPressure)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-
-    // A 4-entry single-shard LRU serving a 6-point working set: the
-    // two hot points are re-touched between cold inserts, so LRU keeps
-    // them resident for the whole run (clear-on-overflow wiped them on
-    // every overflow, collapsing the hit rate to zero).
-    serve::ServiceConfig cfg;
-    cfg.cacheMaxEntries = 4;
-    cfg.cacheMaxBytes = 0; // entry-bounded only: deterministic count
-    cfg.cacheShards = 1;
-    serve::EvalService svc(cfg);
-
-    auto ask = [&](int batch) {
-        auto sub = svc.submit(makeRequest(accel::Scheme::Sram, net,
-                                          batch));
-        EXPECT_TRUE(sub.admitted());
-        auto resp = sub.response.get(); // serialize: one wave each
-        EXPECT_EQ(resp.status, serve::ResponseStatus::Ok);
-        return resp.cacheHit;
-    };
-
-    EXPECT_FALSE(ask(1)); // warm the two hot points
-    EXPECT_FALSE(ask(2));
-    for (int cold = 3; cold <= 6; ++cold) {
-        ask(cold); // cold insert; at capacity this evicts LRU-first
-        EXPECT_TRUE(ask(1)) << "hot point evicted at cold=" << cold;
-        EXPECT_TRUE(ask(2)) << "hot point evicted at cold=" << cold;
-    }
-
-    const auto m = svc.metrics();
-    EXPECT_GT(m.cacheEvictions, 0u); // bounded by eviction, not wipes
-    EXPECT_LE(m.cacheEntries, 4u);
-    EXPECT_GT(m.cacheBytes, 0u);
-    // 8 hot hits out of 14 requests: strictly better than the 0 hits
-    // clear-on-overflow produced on this access pattern.
-    EXPECT_EQ(m.cacheHits, 8u);
 }
 
 TEST(EvalService, TenantQuotaReportedSynchronously)
@@ -918,120 +900,6 @@ TEST(EvalService, SloAdmissionFactorZeroDisablesHopeless)
     EXPECT_EQ(svc.metrics().rejectedHopeless, 0u);
 }
 
-/** Accounted cache bytes of one evaluated (scheme, net, batch) entry. */
-std::size_t
-probeResultEntryBytes(const cnn::CnnModel &net)
-{
-    serve::ServiceConfig cfg;
-    cfg.cacheShards = 1;
-    serve::EvalService svc(cfg);
-    svc.submit(makeRequest(accel::Scheme::Sram, net, 1)).response.get();
-    return svc.metrics().cacheBytes;
-}
-
-TEST(EvalService, TenantCacheBudgetKeepsLightTenantResident)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-    const std::size_t per = probeResultEntryBytes(net);
-    ASSERT_GT(per, 0u);
-
-    // hog's budget holds ~3 entries; mouse's 2 fit comfortably. The
-    // slack covers key-length variation across batch numbers.
-    serve::ServiceConfig cfg;
-    cfg.cacheShards = 1;
-    cfg.tenantCacheBytes = 3 * per + 64;
-    serve::EvalService svc(cfg);
-
-    auto ask = [&](int batch, const std::string &tag) {
-        auto req = makeRequest(accel::Scheme::Sram, net, batch);
-        req.tag = tag;
-        auto sub = svc.submit(req);
-        EXPECT_TRUE(sub.admitted());
-        auto resp = sub.response.get(); // serialize: one wave each
-        EXPECT_EQ(resp.status, serve::ResponseStatus::Ok);
-        return resp.cacheHit;
-    };
-
-    EXPECT_FALSE(ask(101, "mouse"));
-    EXPECT_FALSE(ask(102, "mouse"));
-    for (int b = 1; b <= 8; ++b)
-        ask(b, "hog"); // flood: 8 distinct entries into a 3-entry slice
-    // The flood evicted hog's own tail; mouse stayed resident.
-    EXPECT_TRUE(ask(101, "mouse"));
-    EXPECT_TRUE(ask(102, "mouse"));
-
-    const auto m = svc.metrics();
-    bool sawHog = false, sawMouse = false;
-    for (const auto &t : m.tenantCache) {
-        if (t.tag == "hog") {
-            sawHog = true;
-            EXPECT_LE(t.bytes, cfg.tenantCacheBytes);
-            EXPECT_GT(t.evictions, 0u);
-        } else if (t.tag == "mouse") {
-            sawMouse = true;
-            EXPECT_EQ(t.evictions, 0u);
-            EXPECT_EQ(t.entries, 2u);
-        }
-    }
-    EXPECT_TRUE(sawHog);
-    EXPECT_TRUE(sawMouse);
-}
-
-TEST(EvalService, TenantCacheBudgetHoldsUnderConcurrentMixedReplay)
-{
-    setInformEnabled(false);
-    serve::TraceConfig tcfg;
-    tcfg.bursts = 2;
-    tcfg.requestsPerBurst = 16;
-    tcfg.intraGapMs = 0.0;
-    tcfg.burstGapMs = 0.0;
-    tcfg.models = {"AlexNet"};
-    tcfg.repeatFraction = 0.6;
-    tcfg.tenants = {"hog", "mouse"};
-    tcfg.tenantWeights = {0.85, 0.15};
-    auto trace = serve::makeSyntheticTrace(tcfg);
-
-    auto net = cnn::convLayersOnly(cnn::makeAlexNet());
-    const std::size_t per = probeResultEntryBytes(net);
-
-    serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 256; // admit everything: measure the cache
-    cfg.cacheShards = 1;
-    cfg.tenantCacheBytes = 2 * per + 64; // far under the working set
-    serve::EvalService svc(cfg);
-
-    const auto cold = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
-    const auto warm = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
-    EXPECT_TRUE(cold.consistent());
-    EXPECT_TRUE(warm.consistent());
-    EXPECT_EQ(warm.rejected, 0u);
-    EXPECT_EQ(warm.failed, 0u);
-
-    const auto m = svc.metrics();
-    bool sawHog = false;
-    for (const auto &t : m.tenantCache) {
-        EXPECT_TRUE(t.tag == "hog" || t.tag == "mouse") << t.tag;
-        // The per-tenant bound held throughout the concurrent replay.
-        EXPECT_LE(t.bytes, cfg.tenantCacheBytes) << t.tag;
-        if (t.tag == "hog") {
-            sawHog = true;
-            // The bursty tenant overflowed its own slice.
-            EXPECT_GT(t.evictions, 0u);
-        }
-    }
-    EXPECT_TRUE(sawHog);
-    // Results under tenant-budget eviction stay bit-identical.
-    for (std::size_t i = 0; i < warm.responses.size(); ++i) {
-        if (warm.responses[i].status != serve::ResponseStatus::Ok)
-            continue;
-        const auto &req = trace[i].req;
-        expectIdentical(
-            warm.responses[i].result,
-            accel::runInference(req.cfg, req.model, req.batch));
-    }
-}
-
 TEST(EvalService, AdaptiveWaveShrinksToMinUnderViolatedSlo)
 {
     setInformEnabled(false);
@@ -1197,10 +1065,10 @@ TEST(EvalService, MetricsJsonMatchesBenchSchema)
     EXPECT_NE(json.find("\"queue_depth\": "), std::string::npos);
     EXPECT_NE(json.find("\"rejected_hopeless\": "), std::string::npos);
     EXPECT_NE(json.find("\"est_wave_ms\": "), std::string::npos);
-    // The tagged request's cache slice rides along per tenant.
-    EXPECT_NE(json.find("\"tenant_hog_cache_bytes\": "),
+    // The tagged request's latency slice rides along per tenant.
+    EXPECT_NE(json.find("\"tenant_hog_completed\": "),
               std::string::npos);
-    EXPECT_NE(json.find("\"tenant_hog_cache_evictions\": "),
+    EXPECT_NE(json.find("\"tenant_hog_latency_p95_ms\": "),
               std::string::npos);
 }
 
@@ -1339,11 +1207,12 @@ TEST(EvalService, SuggestedDeadlineAdmitsOnResubmitOnceDrained)
         EXPECT_EQ(f.get().status, serve::ResponseStatus::Ok);
     svc.drain();
 
-    // The suggested budget covers predicted queue drain + service —
-    // not the service's elective batching linger — so the retry is
-    // submitted at the head of a full wave (maxWave = 8 requests
-    // back-to-back), which dispatches immediately instead of
-    // lingering 800 ms.
+    // The suggested budget covers predicted queue drain + service
+    // plus the service's 800 ms batching linger, which a lone retry
+    // waits out before dispatch. Here the retry is submitted at the
+    // head of a full wave (maxWave = 8 requests back-to-back), which
+    // dispatches immediately instead of lingering.
+    EXPECT_GT(rejected.suggestedDeadlineMs, 800.0);
     doomed.deadlineMs = rejected.suggestedDeadlineMs;
     auto retried = svc.submit(doomed);
     ASSERT_EQ(retried.admission, serve::Admission::Admitted);
@@ -1677,10 +1546,8 @@ TEST(EvalService, IdleProbeSelfHealsAPoisonedEstimate)
     // the idle service until probe admissions fold enough real
     // latencies in to pull the estimate back under the threshold and
     // admissions resume. Each submission uses a fresh batch (= a
-    // fresh shape class falling back to the poisoned global EWMA, and
-    // a guaranteed cache miss): a probe served from the result cache
-    // deliberately records no sample, so re-probing one cached key
-    // would never heal anything.
+    // fresh shape class falling back to the poisoned global EWMA), so
+    // every probe is judged against the poisoned estimate.
     int rejected = 0, probed = 0, submits = 0;
     bool healed = false;
     for (; submits < 256 && !healed; ++submits) {
@@ -1740,6 +1607,8 @@ TEST(TraceReplay, AccountingClosesAndResultsMatchDirect)
     tcfg.models = {"AlexNet"};
     auto trace = serve::makeSyntheticTrace(tcfg);
 
+    accel::clearIlpCache();
+    const std::uint64_t inserts0 = accel::ilpCacheInserts();
     serve::ServiceConfig cfg;
     cfg.queue.maxDepth = 256; // generous: nothing rejected
     serve::EvalService svc(cfg);
@@ -1762,16 +1631,17 @@ TEST(TraceReplay, AccountingClosesAndResultsMatchDirect)
             accel::runInference(req.cfg, req.model, req.batch));
     }
 
-    // A repeated sweep is cache-dominated: replays after the first are
-    // pure hits (every key was cached by the time pass 1 drained), so
-    // two more passes push the aggregate hit rate past 50% even if
-    // pass 1 was all coalesced misses.
+    // A repeated sweep is memo-dominated: every layer shape was
+    // scheduled by the time pass 1 drained, so later passes
+    // re-evaluate through memo hits and schedule nothing new.
+    const std::uint64_t inserts = accel::ilpCacheInserts();
+    EXPECT_GT(inserts, inserts0);
     auto rep2 = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
     EXPECT_TRUE(rep2.consistent());
     EXPECT_EQ(rep2.cacheHits, rep2.completed);
     auto rep3 = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
     EXPECT_TRUE(rep3.consistent());
-    EXPECT_GT(rep3.metrics.cacheHitRate, 0.5);
+    EXPECT_EQ(accel::ilpCacheInserts(), inserts);
     EXPECT_GT(rep3.metrics.latencyP99Ms, 0.0);
 }
 
@@ -1874,7 +1744,7 @@ TEST(TraceReplay, ResubmitOnSuggestionRetriesHopelessRejections)
     EXPECT_EQ(resubmitOk, rep.resubmitOk);
 }
 
-TEST(TraceReplay, TwoTenantBurstyTraceEvictsInsteadOfWiping)
+TEST(TraceReplay, TwoTenantBurstyTraceAccountsEveryRequest)
 {
     setInformEnabled(false);
     serve::TraceConfig tcfg;
@@ -1895,32 +1765,25 @@ TEST(TraceReplay, TwoTenantBurstyTraceEvictsInsteadOfWiping)
     ASSERT_GT(hog, 0u);
     ASSERT_GT(mouse, 0u);
 
-    // A cache deliberately smaller than the 8-point working set: the
-    // bursty trace overflows it, and the bound must be enforced by
-    // per-entry LRU eviction, never by dropping whole shards.
     serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 256; // admit everything: measure the cache
-    cfg.cacheMaxEntries = 4;
-    cfg.cacheShards = 1;
+    cfg.queue.maxDepth = 256; // admit everything
     serve::EvalService svc(cfg);
 
     const auto cold = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
+    const std::uint64_t inserts = accel::ilpCacheInserts();
     const auto warm = serve::replayTrace(svc, trace, /*timeScale=*/0.0);
     EXPECT_TRUE(cold.consistent());
     EXPECT_TRUE(warm.consistent());
     EXPECT_EQ(warm.rejected, 0u);
     EXPECT_EQ(warm.failed, 0u);
-
-    const auto m = svc.metrics();
-    EXPECT_GT(m.cacheEvictions, 0u); // overflowed, entry by entry
-    EXPECT_LE(m.cacheEntries, 4u);   // bound held
-    // Under clear-on-overflow this trace's warm pass lost the whole
-    // cache on every overflow; LRU keeps the hot tail resident.
-    EXPECT_GT(warm.cacheHits, 0u);
-    EXPECT_GT(m.cacheHitRate, 0.0);
+    // The warm pass re-evaluates the bursty working set through memo
+    // hits: not one new layer schedule, so every completion is a
+    // cache hit.
+    EXPECT_EQ(accel::ilpCacheInserts(), inserts);
+    EXPECT_EQ(warm.cacheHits, warm.completed);
 
     // Per-tenant accounting covers the full trace and the results
-    // stay bit-identical to direct evaluation even under eviction.
+    // stay bit-identical to direct evaluation.
     for (const auto *rep : {&cold, &warm}) {
         std::size_t accounted = 0;
         for (const auto &[tag, t] : rep->tenants) {
