@@ -426,7 +426,6 @@ jsonMain(int argc, char **argv)
     serve::ServiceConfig lcfg;
     lcfg.queue.maxDepth = 512;
     lcfg.maxWave = 8;
-    lcfg.minWave = 1;
     // ~10 evaluations of end-to-end budget, with a 0.5 admission
     // factor: the wave EWMA is learned on the warm phase's single-
     // item waves and lags the fuller (slower) burst waves, so the
@@ -503,7 +502,6 @@ jsonMain(int argc, char **argv)
         serve::ServiceConfig c;
         c.queue.maxDepth = 256;
         c.maxWave = 8;
-        c.minWave = 1;
         c.sloAdmissionFactor = 0.5;
         return c;
     };
@@ -542,8 +540,8 @@ jsonMain(int argc, char **argv)
 
     serve::ServiceConfig tcfg = tsloConfig();
     tcfg.sloP95Ms = 0.0; // no global target...
-    tcfg.tenantSlo["strict"] = {strictTargetMs, 0.5, 0.0};
-    tcfg.tenantSlo["lax"] = {-1.0, -1.0, 0.0}; // ...and lax opts out
+    tcfg.tenantSlo["strict"] = {strictTargetMs, 0.5};
+    tcfg.tenantSlo["lax"] = {-1.0, -1.0}; // ...and lax opts out
     serve::EvalService tsvc(tcfg);
     warmTslo(tsvc);
     serve::ReplayOptions topts;

@@ -70,7 +70,6 @@ main(int argc, char **argv)
     cfg.queue.policy = serve::AdmissionPolicy::Shed;
     cfg.queue.maxPerTenant = 36;
     cfg.maxWave = 8;
-    cfg.minWave = 1;
     cfg.linger = std::chrono::milliseconds(1);
     cfg.sloP95Ms = 250.0;
     cfg.sloAdmissionFactor = 1.0;
@@ -78,15 +77,11 @@ main(int argc, char **argv)
     // p95 target (with admission headroom) than the global default
     // the bursty hog inherits, so wave adaptation and hopeless
     // admission treat the two asymmetrically.
-    cfg.tenantSlo["mouse"] = {/*p95Ms=*/150.0,
-                              /*admissionFactor=*/0.8,
-                              /*defaultDeadlineMs=*/0.0};
-    // End-to-end tracing: sample one submission in four, and keep a
-    // small flight-recorder log so the incident dump below stays
-    // readable (the bursty replay rejects plenty of requests as
-    // hopeless, and each sampled one captures its span history).
+    cfg.tenantSlo["mouse"] = {/*p95Ms=*/150.0, /*admissionFactor=*/0.8};
+    // End-to-end tracing: sample one submission in four. A sampled
+    // request that expires or is rejected as hopeless leaves its span
+    // history in the flight recorder.
     cfg.traceSampleEvery = 4;
-    cfg.incidentLogCap = 4;
     // Persistent store (opt-in): point SMART_DISK_CACHE at a file and
     // a rerun of this binary warm-starts from it across the restart.
     const char *diskEnv = std::getenv("SMART_DISK_CACHE");
@@ -263,9 +258,7 @@ main(int argc, char **argv)
     // Flight recorder: every sampled request that expired or was
     // refused as hopeless left its span history here ("[]" when the
     // replay went cleanly).
-    std::cout << "incident log (" << "last "
-              << cfg.incidentLogCap << " max): "
-              << svc.dumpIncidents() << "\n";
+    std::cout << "incident log: " << svc.dumpIncidents() << "\n";
 
     if (json) {
         std::ofstream os(out);

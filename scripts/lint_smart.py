@@ -32,6 +32,12 @@ raw-unit-double
                smart::Joules, ...) so a unit mix-up is a compile error.
                Densities and report-only figure-scale fields take a
                `lint-allow(raw-unit-double)` with the reason.
+knob-table     The data members of `struct ServiceConfig`
+               (src/serve/service.hh) and of `struct QueueConfig`
+               (src/serve/queue.hh, as `queue.<field>`) must match the
+               rows of README.md's "ServiceConfig knobs" table exactly,
+               so a knob is never added or removed without its
+               documentation row.  Not suppressible.
 
 Suppressions
 ------------
@@ -84,6 +90,12 @@ UNIT_DOUBLE_RE = re.compile(
 RATIONALE_RE = re.compile(r"//.*\bmemory_order:")
 TSA_REASON_RE = re.compile(r"//\s*tsa:")
 ALLOW_RE = re.compile(r"//\s*lint-allow\((?P<rule>[a-z-]+)\)\s*:\s*\S")
+
+# knob-table: the config headers, the README, and the table's title.
+KNOB_HEADERS = ("src/serve/service.hh", "src/serve/queue.hh")
+KNOB_README = "README.md"
+KNOB_TABLE_TITLE = "**ServiceConfig knobs.**"
+KNOB_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def strip_code(text):
@@ -232,6 +244,130 @@ def lint_file(path, rel, violations):
                        "adjacent `// tsa:` justification")
 
 
+def skip_group(code, i):
+    """Index just past the bracket group that opens at code[i]."""
+    depth = 0
+    for j in range(i, len(code)):
+        if code[j] in "([{":
+            depth += 1
+        elif code[j] in ")]}":
+            depth -= 1
+            if depth == 0:
+                return j + 1
+    return len(code)
+
+
+def struct_fields(code, name):
+    """[(field, type, 1-based line)] of the data members of `struct
+    name` in comment-stripped code, or None when the struct is absent.
+    Member functions, nested types and aliases are skipped."""
+    m = re.search(r"\bstruct\s+" + name + r"\s*\{", code)
+    if not m:
+        return None
+    fields = []
+    i = start = m.end()
+    while i < len(code) and code[i] != "}":
+        c = code[i]
+        if c in "([{":
+            body = c == "{" and "(" in code[start:i]
+            i = skip_group(code, i)
+            if body:  # member function definition: no `;` follows
+                start = i
+            continue
+        i += 1
+        if c != ";":
+            continue
+        decl = code[start : i - 1]
+        start = i
+        head = re.split(r"[={]", decl, maxsplit=1)[0]
+        ident = re.search(r"(\w+)\s*$", head)
+        if ("(" in head or not ident or re.match(
+                r"\s*(using|typedef|static|friend|enum|struct|class)\b",
+                decl)):
+            continue
+        pos = i - 1 - len(decl) + ident.start(1)
+        fields.append((ident.group(1), head[: ident.start(1)].strip(),
+                       code.count("\n", 0, pos) + 1))
+    return fields
+
+
+def knob_table_rows(readme):
+    """[(knob, 1-based line)] of the table under KNOB_TABLE_TITLE, or
+    None when the title is absent."""
+    lines = readme.splitlines()
+    titles = [i for i, line in enumerate(lines)
+              if line.strip() == KNOB_TABLE_TITLE]
+    if not titles:
+        return None
+    i = titles[0] + 1
+    while i < len(lines) and not lines[i].strip():
+        i += 1
+    rows = []
+    while i < len(lines) and lines[i].startswith("|"):
+        m = KNOB_ROW_RE.match(lines[i])
+        if m:
+            rows.append((m.group(1), i + 1))
+        i += 1
+    return rows
+
+
+def check_knob_table(headers, readme, violations):
+    """knob-table: ServiceConfig (+ QueueConfig as queue.*) fields vs
+    the README rows. headers and readme are (rel, text) pairs."""
+    found = {}
+    for rel, text in headers:
+        code = strip_code(text)
+        for name in ("ServiceConfig", "QueueConfig"):
+            fields = struct_fields(code, name)
+            if name not in found and fields is not None:
+                found[name] = (rel, fields)
+    for name in ("ServiceConfig", "QueueConfig"):
+        if name not in found:
+            violations.append((headers[0][0], 1, "knob-table",
+                               f"struct {name} not found"))
+            return
+    readme_rel, readme_text = readme
+    rows = knob_table_rows(readme_text)
+    if rows is None:
+        violations.append((readme_rel, 1, "knob-table",
+                           f"no {KNOB_TABLE_TITLE} table"))
+        return
+
+    knobs = {}  # knob -> (rel, line)
+    svc_rel, svc_fields = found["ServiceConfig"]
+    queue_rel, queue_fields = found["QueueConfig"]
+    for field, ftype, line in svc_fields:
+        if re.search(r"\bQueueConfig$", ftype):
+            for qfield, _, qline in queue_fields:
+                knobs[f"{field}.{qfield}"] = (queue_rel, qline)
+        else:
+            knobs[field] = (svc_rel, line)
+    documented = {}
+    for knob, line in rows:
+        if knob in documented:
+            violations.append((readme_rel, line, "knob-table",
+                               f"duplicate row for `{knob}`"))
+        documented.setdefault(knob, line)
+    for knob, (rel, line) in knobs.items():
+        if knob not in documented:
+            violations.append((rel, line, "knob-table",
+                               f"knob `{knob}` has no row in "
+                               f"{readme_rel}'s knob table"))
+    for knob, line in documented.items():
+        if knob not in knobs:
+            violations.append((readme_rel, line, "knob-table",
+                               f"row for `{knob}`, which is not a "
+                               "ServiceConfig knob"))
+
+
+def read_pair(repo, rel):
+    """(rel, text) of a repository file, or None when it is missing."""
+    path = repo / rel
+    if not path.is_file():
+        return None
+    return rel, path.read_text(encoding="utf-8", errors="replace")
+
+
 def iter_targets(repo):
     """(path, repo-relative) pairs the lint covers: all of src/, plus
     bench/ and examples/ (the endl rule applies there too)."""
@@ -253,6 +389,12 @@ def run_lint(repo):
     if count == 0:
         print("lint_smart: no files found — wrong --repo?", file=sys.stderr)
         return 2
+    headers = [read_pair(repo, rel) for rel in KNOB_HEADERS]
+    readme = read_pair(repo, KNOB_README)
+    if None in headers or readme is None:
+        print("lint_smart: knob-table inputs missing", file=sys.stderr)
+        return 2
+    check_knob_table(headers, readme, violations)
     for rel, lineno, rule, msg in violations:
         print(f"{rel}:{lineno}: [{rule}] {msg}")
     if violations:
@@ -295,6 +437,35 @@ def run_self_test(repo):
         print("lint_smart --self-test: good fixture must lint clean",
               file=sys.stderr)
         return 1
+
+    # knob-table: the bad pair must report a knob with no row AND a
+    # row with no knob; the good pair must match exactly.
+    for case in ("bad", "good"):
+        pair = [fixtures / f"knob_table_{case}.{ext}" for ext in ("hh", "md")]
+        missing = [f for f in pair if not f.is_file()]
+        if missing:
+            print(f"lint_smart --self-test: missing fixture {missing[0]}",
+                  file=sys.stderr)
+            return 2
+        violations = []
+        check_knob_table(
+            [(f"tests/lint_fixtures/{pair[0].name}", pair[0].read_text())],
+            (f"tests/lint_fixtures/{pair[1].name}", pair[1].read_text()),
+            violations)
+        msgs = [msg for (_, _, _, msg) in violations]
+        if case == "good" and msgs:
+            for rel, lineno, rule, msg in violations:
+                print(f"{rel}:{lineno}: [{rule}] {msg}")
+            print("lint_smart --self-test: good knob table must lint "
+                  "clean", file=sys.stderr)
+            return 1
+        if case == "bad" and not (
+                any("has no row" in m for m in msgs)
+                and any("not a ServiceConfig knob" in m for m in msgs)):
+            print("lint_smart --self-test: knob-table did not report both "
+                  f"an undocumented knob and a stale row: {msgs}",
+                  file=sys.stderr)
+            return 1
 
     print("lint_smart --self-test: OK")
     return 0

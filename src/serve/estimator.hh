@@ -108,11 +108,9 @@ class CostEstimator
      * service adds its batching linger): a resubmit carrying this
      * deadline passes the wait-based deadline admission gate by
      * construction while the estimates hold (wait <= factor *
-     * suggested, since service > 0), and it is also
-     * the value a tenant's estimator-derived default deadline
-     * (TenantSlo::defaultDeadlineMs < 0) assigns at submit. Factors
-     * outside (0, inf) are treated as 1; returns 0 while fully cold
-     * (no evidence, no suggestion).
+     * suggested, since service > 0). Factors outside (0, inf) are
+     * treated as 1; returns 0 while fully cold (no evidence, no
+     * suggestion).
      */
     double suggestDeadlineMs(const std::string &shapeKey,
                              std::size_t queueDepth,

@@ -156,15 +156,6 @@ ServiceMetrics::rollbackAdmittedToRejected()
 }
 
 void
-ServiceMetrics::rollbackAdmittedToHopeless()
-{
-    LockGuard lock(mu_);
-    --admitted_;
-    ++rejected_;
-    ++rejectedHopeless_;
-}
-
-void
 ServiceMetrics::recordRejectedHopeless()
 {
     LockGuard lock(mu_);

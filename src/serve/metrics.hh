@@ -199,12 +199,6 @@ class ServiceMetrics
     void recordAdmitted();
     /** Convert an optimistic admission into a rejection. */
     void rollbackAdmittedToRejected();
-    /**
-     * Convert an optimistic admission into a hopeless rejection — the
-     * Block-policy path where the post-wait re-check refuses a request
-     * that was optimistically counted admitted before it blocked.
-     */
-    void rollbackAdmittedToHopeless();
     /** Count an SLO-aware (hopeless) rejection at submit time. */
     void recordRejectedHopeless();
     void recordShed();

@@ -97,53 +97,17 @@ RequestQueue::shedVictimFor(const Pending &newcomer) const
     return q_.size();
 }
 
-bool
-RequestQueue::admittable(const Pending &p) const
-{
-    if (closed_)
-        return true; // wake so the push can report RejectedClosed
-    if (q_.size() >= cfg_.maxDepth)
-        return false;
-    return cfg_.maxPerTenant == 0 ||
-           queuedFor(p.req.tag) < cfg_.maxPerTenant;
-}
-
 RequestQueue::PushResult
-RequestQueue::push(Pending &&p, const DoomedAfterWait &doomedAfterWait)
+RequestQueue::push(Pending &&p)
 {
     LockGuard lock(mu_);
-    const bool quota = cfg_.maxPerTenant > 0;
-    bool waited = false;
-    if (cfg_.policy == AdmissionPolicy::Block) {
-        // Spelled as an explicit loop (not a CV predicate lambda) so
-        // the thread-safety analysis sees admittable() run under mu_.
-        while (!admittable(p)) {
-            waited = true;
-            lock.wait(spaceCv_);
-        }
-    }
     if (closed_)
         return {Admission::RejectedClosed, std::nullopt};
-    // A blocked push's admission cost was estimated against the queue
-    // as it stood before the wait; re-judge it against the state the
-    // submitter actually woke to (see DoomedAfterWait).
-    if (waited && doomedAfterWait) {
-        switch (doomedAfterWait(p, q_.size())) {
-          case WaitVerdict::Admit:
-            break;
-          case WaitVerdict::Reject:
-            return {Admission::RejectedHopeless, std::nullopt};
-          case WaitVerdict::Degrade:
-            p.degrade = true;
-            break;
-        }
-    }
-    if (quota && queuedFor(p.req.tag) >= cfg_.maxPerTenant)
+    if (cfg_.maxPerTenant > 0 && queuedFor(p.req.tag) >= cfg_.maxPerTenant)
         return {Admission::RejectedQuota, std::nullopt};
 
     PushResult res;
     if (q_.size() >= cfg_.maxDepth) {
-        // Full (Reject or Shed; Block waited for space above).
         if (cfg_.policy != AdmissionPolicy::Shed)
             return {Admission::RejectedFull, std::nullopt};
         const std::size_t v = shedVictimFor(p);
@@ -153,7 +117,6 @@ RequestQueue::push(Pending &&p, const DoomedAfterWait &doomedAfterWait)
         res.shed = std::move(q_[v]);
         q_.erase(q_.begin() + static_cast<std::ptrdiff_t>(v));
     }
-    res.degraded = p.degrade;
     track(p);
     insertSorted(std::move(p));
     lock.unlock();
@@ -221,7 +184,6 @@ RequestQueue::popWave(std::size_t maxWave, std::chrono::milliseconds linger)
     }
     q_.erase(q_.begin(), q_.begin() + static_cast<std::ptrdiff_t>(n));
     lock.unlock();
-    spaceCv_.notify_all();
 
     // Close the cross-thread queue_wait span for every sampled entry
     // leaving the queue (dispatched or expired): the submitter stamped
@@ -252,7 +214,6 @@ RequestQueue::close()
         closed_ = true;
     }
     workCv_.notify_all();
-    spaceCv_.notify_all();
 }
 
 bool

@@ -4,10 +4,10 @@
  * buffer between client submissions and the dispatcher's evaluation
  * waves. Entries are held sorted by (priority desc, submission order),
  * deadlines are swept at pop time, and a configurable policy decides
- * what happens when the queue is full: reject the newcomer, shed a
- * queued entry, or block the submitter (backpressure). Thread-safe;
- * admitted entries are never silently dropped — every push/pop outcome
- * surfaces the affected entry so the service can resolve its promise.
+ * what happens when the queue is full: reject the newcomer or shed a
+ * queued entry. push() never waits. Thread-safe; admitted entries are
+ * never silently dropped — every push/pop outcome surfaces the
+ * affected entry so the service can resolve its promise.
  *
  * Multi-tenant fairness: the request tag doubles as a tenant label.
  * An optional per-tenant depth quota (QueueConfig::maxPerTenant) caps
@@ -23,7 +23,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <set>
 #include <string>
@@ -41,25 +40,9 @@ namespace smart::serve
 enum class AdmissionPolicy
 {
     Reject, //!< Refuse the newcomer (RejectedFull).
-    Shed,   //!< Evict the lowest-priority queued entry if the newcomer
+    Shed    //!< Evict the lowest-priority queued entry if the newcomer
             //!< outranks it; otherwise refuse the newcomer.
-    Block   //!< Block the submitting thread until space frees up.
 };
-
-/** AdmissionPolicy name for logs and tables. */
-inline const char *
-admissionPolicyName(AdmissionPolicy p)
-{
-    switch (p) {
-      case AdmissionPolicy::Reject:
-        return "reject";
-      case AdmissionPolicy::Shed:
-        return "shed";
-      case AdmissionPolicy::Block:
-        return "block";
-    }
-    return "?";
-}
 
 /** Queue shape and admission behavior. */
 struct QueueConfig
@@ -69,8 +52,7 @@ struct QueueConfig
     /**
      * Per-tenant (EvalRequest::tag) cap on queued entries; 0 disables
      * the quota. A push that would take a tenant past its quota is
-     * refused with RejectedQuota (Reject/Shed) or blocks until the
-     * tenant drains below it (Block), independent of total depth — one
+     * refused with RejectedQuota, independent of total depth — one
      * bursty tenant can then never fill the queue.
      */
     std::size_t maxPerTenant = 0;
@@ -97,9 +79,8 @@ struct Pending
     std::uint64_t digest = 0; //!< accel::requestDigest of key.
     /**
      * Graceful degradation: serve through the greedy (anytime)
-     * scheduler instead of the ILP. Set at submit (policy/budget
-     * decision) or by a WaitVerdict::Degrade re-judge after a blocked
-     * wait; read by the dispatcher when building the wave.
+     * scheduler instead of the ILP. Set at submit (degradePolicy Auto's
+     * hopeless rescue); read by the dispatcher when building the wave.
      */
     bool degrade = false;
     /**
@@ -120,52 +101,14 @@ class RequestQueue
     {
         Admission admission = Admission::Admitted;
         std::optional<Pending> shed;
-        /**
-         * The entry was queued with Pending::degrade set — either by
-         * the submitter or by a WaitVerdict::Degrade re-judge — so
-         * the service can report Admission::ServedDegraded.
-         */
-        bool degraded = false;
     };
 
     /**
-     * Outcome of the post-block re-judge: admit as-is, refuse
-     * (RejectedHopeless), or admit degraded — the entry is re-routed
-     * through the greedy scheduler (Pending::degrade set) instead of
-     * being turned away.
+     * Admit @p p under the configured policy, without waiting; the
+     * returned shed entry, when present, must have its promise
+     * resolved by the caller.
      */
-    enum class WaitVerdict
-    {
-        Admit,
-        Reject,
-        Degrade
-    };
-
-    /**
-     * Re-admission check for Block-policy pushes that actually
-     * blocked: called under the queue lock with the entry and the
-     * depth observed at wake. The caller's pre-push cost estimate was
-     * judged against the queue state *before* the block; by the time
-     * a blocked submitter wakes, that estimate is stale (load may
-     * have surged while it slept), so the service re-evaluates it
-     * here — a now-doomed request is turned away (Reject) or, under
-     * degradePolicy Auto, downgraded to the greedy path (Degrade)
-     * instead of admitted on stale evidence. Never invoked when the
-     * push did not wait, or after close() (shutdown stays
-     * RejectedClosed). Must not touch the queue (it runs under mu_);
-     * reading leaf-locked state such as the cost estimator is fine.
-     */
-    using DoomedAfterWait =
-        std::function<WaitVerdict(const Pending &, std::size_t depth)>;
-
-    /**
-     * Admit @p p under the configured policy. Under Block this waits
-     * for space (or close()), then consults @p doomedAfterWait (see
-     * above) when the wait actually blocked; the returned shed entry,
-     * when present, must have its promise resolved by the caller.
-     */
-    PushResult push(Pending &&p,
-                    const DoomedAfterWait &doomedAfterWait = {});
+    PushResult push(Pending &&p);
 
     /** popWave() result: dispatchable entries + deadline casualties. */
     struct Wave
@@ -188,8 +131,8 @@ class RequestQueue
     Wave popWave(std::size_t maxWave, std::chrono::milliseconds linger);
 
     /**
-     * Stop admitting: subsequent pushes return RejectedClosed, blocked
-     * pushers wake with RejectedClosed, and poppers drain what remains.
+     * Stop admitting: subsequent pushes return RejectedClosed, and
+     * poppers drain what remains.
      */
     void close();
 
@@ -224,24 +167,10 @@ class RequestQueue
      */
     std::size_t shedVictimFor(const Pending &newcomer) const
         SMART_REQUIRES(mu_);
-    /** Block-policy admission predicate for @p p (space + quota). */
-    bool admittable(const Pending &p) const SMART_REQUIRES(mu_);
 
     QueueConfig cfg_;
     mutable Mutex mu_;
     std::condition_variable workCv_;  //!< Signaled on push/close.
-    /**
-     * Signaled on pop/close. Wake contract for Block-policy pushers
-     * (who may be waiting on total depth, on their tenant quota, or
-     * both): every path that removes entries from the queue — wave
-     * pops and the expiry sweep, both inside popWave() — ends in
-     * notify_all, and close() notifies too, so a pusher blocked on a
-     * tenant quota wakes on that tenant's drain and on shutdown. The
-     * only other removal path (shed inside push()) cannot coexist
-     * with blocked pushers, because the admission policy is
-     * queue-wide. Proven by the BlockedOnTenantQuota* regressions.
-     */
-    std::condition_variable spaceCv_;
     std::vector<Pending> q_ SMART_GUARDED_BY(mu_);
     /** Queued entries per tenant tag (erased at zero). */
     std::unordered_map<std::string, std::size_t>

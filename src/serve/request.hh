@@ -1,9 +1,10 @@
 /**
  * @file
  * Request/response types of the async evaluation service: what a
- * client submits (configuration, model, batch, priority, deadline),
- * what the admission controller decides, and what the request's future
- * eventually carries. See serve/service.hh for the service itself.
+ * client submits (configuration, model, batch, priority, queue
+ * deadline, tenant tag), what the admission controller decides, and
+ * what the request's future eventually carries. See serve/service.hh
+ * for the service itself.
  */
 
 #ifndef SMART_SERVE_REQUEST_HH
@@ -28,21 +29,6 @@ enum class Priority
     High = 2
 };
 
-/** Priority name for logs and tables. */
-inline const char *
-priorityName(Priority p)
-{
-    switch (p) {
-      case Priority::Low:
-        return "low";
-      case Priority::Normal:
-        return "normal";
-      case Priority::High:
-        return "high";
-    }
-    return "?";
-}
-
 /** One client request: an evaluation point plus scheduling intent. */
 struct EvalRequest
 {
@@ -57,15 +43,6 @@ struct EvalRequest
      * handed to an evaluation wave always runs to completion.
      */
     double deadlineMs = 0.0;
-    /**
-     * Quality budget in milliseconds: if the estimator predicts the
-     * ILP-optimal path alone costs more than this, the request is
-     * eligible for degraded (greedy-scheduled) serving under
-     * ServiceConfig::degradePolicy Auto. 0 inherits the tenant's
-     * TenantSlo::maxQualityMs (or the global ServiceConfig value);
-     * negative opts out of budget-driven degradation entirely.
-     */
-    double maxQualityMs = 0.0;
     /**
      * Caller label, echoed in the response. Doubles as the tenant
      * identity for fair-share admission (QueueConfig::maxPerTenant)
@@ -82,21 +59,6 @@ enum class ResponseStatus
     Shed,    //!< Evicted while queued to admit a higher-priority request.
     Expired  //!< Deadline passed before dispatch.
 };
-
-/** ResponseStatus name for logs and tables. */
-inline const char *
-responseStatusName(ResponseStatus s)
-{
-    switch (s) {
-      case ResponseStatus::Ok:
-        return "ok";
-      case ResponseStatus::Shed:
-        return "shed";
-      case ResponseStatus::Expired:
-        return "expired";
-    }
-    return "?";
-}
 
 /** What an admitted request's future resolves to. */
 struct EvalResponse
@@ -170,34 +132,13 @@ enum class Admission
     /**
      * Graceful degradation: admitted, but routed through the greedy
      * (anytime) scheduler because the ILP path was predicted to blow
-     * the deadline or quality budget — the request that would have
-     * been RejectedHopeless under degradePolicy Off. Counts as
+     * the deadline or p95 SLO — the request that would have been
+     * RejectedHopeless under degradePolicy Off. Counts as
      * admitted(); the future resolves normally with
      * EvalResponse::degraded set.
      */
     ServedDegraded
 };
-
-/** Admission name for logs and tables. */
-inline const char *
-admissionName(Admission a)
-{
-    switch (a) {
-      case Admission::Admitted:
-        return "admitted";
-      case Admission::RejectedFull:
-        return "rejected-full";
-      case Admission::RejectedQuota:
-        return "rejected-quota";
-      case Admission::RejectedClosed:
-        return "rejected-closed";
-      case Admission::RejectedHopeless:
-        return "rejected-hopeless";
-      case Admission::ServedDegraded:
-        return "served-degraded";
-    }
-    return "?";
-}
 
 /**
  * submit()'s synchronous result. Rejections are always reported here
@@ -218,12 +159,12 @@ struct Submission
      * SLO gate still applies, so a resubmit into a still-hopeless
      * queue is refused again (with a fresh, larger suggestion). The
      * budget is predicted queue drain + service, scaled, plus the
-     * service's current batching linger (ServiceConfig::linger, as
-     * scaled under an SLO): a lone retry into an idle queue waits out
-     * the linger before dispatch, and a sub-millisecond memo-hit
-     * service estimate must not make the suggestion expire there.
-     * 0 on every non-hopeless outcome, and when the estimator is
-     * cold.
+     * service's current batching linger (ServiceConfig::linger, never
+     * negative, as scaled under an SLO): a lone retry into an idle
+     * queue waits out the linger before dispatch, and a
+     * sub-millisecond memo-hit service estimate must not make the
+     * suggestion expire there. 0 on every non-hopeless outcome, and
+     * when the estimator is cold.
      */
     double suggestedDeadlineMs = 0.0;
 

@@ -41,14 +41,15 @@ msBetween(Clock::time_point a, Clock::time_point b)
  */
 constexpr std::uint32_t kHopelessProbeInterval = 8;
 
+/** Ok completions per SLO adaptation decision. */
+constexpr std::size_t kSloWindow = 32;
+
 /** Clamp the wave/SLO knobs into a usable shape once, up front. */
 ServiceConfig
 normalized(ServiceConfig cfg)
 {
     cfg.maxWave = std::max<std::size_t>(1, cfg.maxWave);
-    cfg.minWave =
-        std::min(std::max<std::size_t>(1, cfg.minWave), cfg.maxWave);
-    cfg.sloWindow = std::max<std::size_t>(1, cfg.sloWindow);
+    cfg.linger = std::max(cfg.linger, std::chrono::milliseconds(0));
     cfg.sloAdmissionFactor = std::max(0.0, cfg.sloAdmissionFactor);
     return cfg;
 }
@@ -87,7 +88,6 @@ EvalService::EvalService(ServiceConfig cfg)
         TraceRecorder::Config tc;
         tc.sampleEvery = cfg_.traceSampleEvery;
         tc.ringSlots = cfg_.traceRingSlots;
-        tc.incidentLogCap = cfg_.incidentLogCap;
         TraceRecorder::global().configure(tc);
     }
 }
@@ -195,7 +195,6 @@ EvalService::sloFor(const std::string &tag) const
     SloView v;
     v.p95Ms = std::max(0.0, cfg_.sloP95Ms);
     v.factor = cfg_.sloAdmissionFactor; // normalized() clamped >= 0
-    v.maxQualityMs = std::max(0.0, cfg_.maxQualityMs);
     auto it = cfg_.tenantSlo.find(tag);
     if (it == cfg_.tenantSlo.end())
         return v;
@@ -204,9 +203,6 @@ EvalService::sloFor(const std::string &tag) const
         v.p95Ms = std::max(0.0, t.p95Ms);
     if (t.admissionFactor >= 0.0) // < 0 inherits; 0 disables
         v.factor = t.admissionFactor;
-    if (t.maxQualityMs != 0.0) // > 0 overrides; < 0 opts out
-        v.maxQualityMs = std::max(0.0, t.maxQualityMs);
-    v.defaultDeadlineMs = t.defaultDeadlineMs;
     return v;
 }
 
@@ -228,53 +224,31 @@ EvalService::tightenedFactor(const std::string &shapeKey,
 
 bool
 EvalService::hopeless(const std::string &shapeKey, double deadlineMs,
-                      std::size_t queueDepth, const SloView &slo) const
+                      std::size_t queueDepth, const SloView &slo,
+                      bool greedy) const
 {
     if (slo.factor <= 0.0)
         return false;
     const bool hasDeadline = deadlineMs > 0.0;
     if (!hasDeadline && slo.p95Ms <= 0.0)
         return false; // no budget to miss
-    const double factor = tightenedFactor(shapeKey, slo.factor);
+    // Each path is confidence-tightened against its own key's interval
+    // (the global one until that key has two samples).
+    const std::string greedyKey =
+        greedy ? shapeKey + "|greedy" : std::string();
+    const std::string &pathKey = greedy ? greedyKey : shapeKey;
+    const double factor = tightenedFactor(pathKey, slo.factor);
     const double waitMs = estimator_.estimateQueueWaitMs(queueDepth);
     if (hasDeadline && waitMs > factor * deadlineMs)
         return true; // queue deadlines bound waiting, not service
     if (slo.p95Ms > 0.0) {
-        const double serviceMs = estimator_.estimateServiceMs(shapeKey);
-        if (waitMs + serviceMs > factor * slo.p95Ms)
-            return true;
-    }
-    return false;
-}
-
-bool
-EvalService::hopelessWhenDegraded(const std::string &shapeKey,
-                                  double deadlineMs,
-                                  std::size_t queueDepth,
-                                  const SloView &slo) const
-{
-    if (slo.factor <= 0.0)
-        return false;
-    const bool hasDeadline = deadlineMs > 0.0;
-    if (!hasDeadline && slo.p95Ms <= 0.0)
-        return false; // no budget to miss
-    // Confidence-tightened like hopeless(), but against the greedy
-    // twin's own interval — the degraded path's volatility is its own.
-    const double factor =
-        tightenedFactor(shapeKey + "|greedy", slo.factor);
-    const double waitMs = estimator_.estimateQueueWaitMs(queueDepth);
-    // Degrading cannot make the queue ahead drain faster: a request
-    // doomed by waiting alone is doomed on either path.
-    if (hasDeadline && waitMs > factor * deadlineMs)
-        return true;
-    if (slo.p95Ms > 0.0) {
-        // Greedy-path service estimate: the shape's own "|greedy"
-        // EWMA, optimistically 0 when untracked (see
-        // CostEstimator::shapeEstimateMs) — a cold degraded path is
-        // given the benefit of the doubt rather than inheriting the
-        // ILP-dominated global average it exists to undercut.
+        // The greedy twin's service estimate is optimistically 0 when
+        // untracked: a cold degraded path is given the benefit of the
+        // doubt rather than inheriting the ILP-dominated global
+        // average it exists to undercut.
         const double serviceMs =
-            estimator_.shapeEstimateMs(shapeKey + "|greedy");
+            greedy ? estimator_.shapeEstimateMs(pathKey)
+                   : estimator_.estimateServiceMs(pathKey);
         if (waitMs + serviceMs > factor * slo.p95Ms)
             return true;
     }
@@ -301,119 +275,45 @@ EvalService::submit(EvalRequest req)
     // resolved SLO policy (sloFor: per-tag table entry, global knobs
     // as fallback): refuse work the estimator predicts cannot meet
     // its deadline/SLO even if admitted right now — before the
-    // request costs a queue slot, a drain slot, or (under Block) a
-    // blocked submitter. Decided from cheap O(1) reads (queue depth,
-    // EWMAs, the coarse shape key); the expensive canonical key is
-    // still only computed at dispatch. A closed service reports
-    // RejectedClosed, never RejectedHopeless — shutdown must stay
-    // distinguishable from load rejection (clients back off
-    // differently) — hence the closed() guard. The depth is sampled
-    // once, so the deadline assignment, the hopeless verdict, and the
+    // request costs a queue slot or a drain slot. Decided from cheap
+    // O(1) reads (queue depth, EWMAs, the coarse shape key); the
+    // expensive canonical key is still only computed at dispatch. A
+    // closed service reports RejectedClosed, never RejectedHopeless —
+    // shutdown must stay distinguishable from load rejection (clients
+    // back off differently) — hence the closed() guard. The depth is
+    // sampled once, so the hopeless verdict, the rescue, and the
     // probe decision below are all judged against the same queue
     // state.
     const std::uint64_t estimateBegin =
         traceId ? TraceRecorder::nowNs() : 0;
     const SloView slo = sloFor(req.tag);
-    // Resolved quality budget (graceful degradation, policy Auto):
-    // the request's own maxQualityMs when positive, none when
-    // negative, else the tenant/global budget from the SLO table.
-    const double qualityBudget =
-        req.maxQualityMs > 0.0
-            ? req.maxQualityMs
-            : (req.maxQualityMs < 0.0 ? 0.0 : slo.maxQualityMs);
-    // The coarse shape key feeds the hopeless gate, the deadline
-    // suggestion, the deadline default, and the quality-budget gate;
-    // compute it once, and only when some SLO machinery can actually
-    // consume it — a service with no SLO, no deadline, and no tenant
-    // default keeps the zero-allocation submit path. (It is the cheap
-    // key either way — the expensive canonical requestKey still waits
-    // for dispatch.)
+    // The coarse shape key feeds the hopeless gate and the deadline
+    // suggestion; it is computed only when the gate has a budget to
+    // judge, so a service with no SLO and no deadline keeps the
+    // zero-allocation submit path.
     const bool needShapeKey =
-        slo.defaultDeadlineMs != 0.0 ||
-        (slo.factor > 0.0 &&
-         (slo.p95Ms > 0.0 || req.deadlineMs > 0.0)) ||
-        (cfg_.degradePolicy == DegradePolicy::Auto &&
-         qualityBudget > 0.0);
+        slo.factor > 0.0 && (slo.p95Ms > 0.0 || req.deadlineMs > 0.0);
     const std::string shapeKey =
         needShapeKey ? accel::requestShapeKey(req.model, req.batch)
                      : std::string();
     const std::size_t depthNow = queue_.depth();
     const bool isClosed = queue_.closed();
 
-    // Estimator-driven deadline assignment: a request submitted
-    // without a deadline inherits its tenant's default — fixed, or
-    // derived from the cost estimator's current prediction (see
-    // TenantSlo::defaultDeadlineMs). Assigned before the hopeless
-    // gate, so an inherited deadline is enforced exactly like a
-    // client-provided one.
-    if (!isClosed && req.deadlineMs <= 0.0 &&
-        slo.defaultDeadlineMs != 0.0) {
-        req.deadlineMs = slo.defaultDeadlineMs > 0.0
-                             ? slo.defaultDeadlineMs
-                             : estimator_.suggestDeadlineMs(
-                                   shapeKey, depthNow, slo.factor);
-    }
-
-    // A hopeless rejection always carries the deadline a resubmission
-    // could meet (see Submission::suggestedDeadlineMs) instead of
-    // leaving the client to blind-retry; shared by the submit-time
-    // gate and the Block post-wait re-check below. The estimate
-    // covers queue drain + service; a lone retry also waits out the
-    // batching linger before dispatch, so the suggestion adds it.
-    auto hopelessRejection = [&](std::size_t depth) {
-        Submission rejected{Admission::RejectedHopeless,
-                            std::future<EvalResponse>()};
-        const double budget =
-            estimator_.suggestDeadlineMs(shapeKey, depth, slo.factor);
-        if (budget > 0.0)
-            rejected.suggestedDeadlineMs =
-                budget + std::chrono::duration<double, std::milli>(
-                             effectiveLinger())
-                             .count();
-        if (traceId) {
-            auto &rec = TraceRecorder::global();
-            rec.instant(traceId, "admission",
-                        static_cast<std::int64_t>(
-                            Admission::RejectedHopeless),
-                        "verdict");
-            rec.recordIncident(traceId, "rejected_hopeless", 0,
-                               traceTag);
-        }
-        return rejected;
-    };
-
-    // Graceful degradation decision (see DegradePolicy): Force routes
-    // every request through the greedy scheduler; Auto degrades one
-    // whose predicted ILP-path service time exceeds its resolved
-    // quality budget. Decided before the hopeless gate so the gate
-    // judges the path the request will actually take.
-    bool degrade = false;
-    if (!isClosed && cfg_.degradePolicy != DegradePolicy::Off) {
-        if (cfg_.degradePolicy == DegradePolicy::Force)
-            degrade = true;
-        else if (qualityBudget > 0.0 &&
-                 estimator_.estimateServiceMs(shapeKey) > qualityBudget)
-            degrade = true;
-    }
-
-    bool doomed =
-        !isClosed &&
-        (degrade ? hopelessWhenDegraded(shapeKey, req.deadlineMs,
-                                        depthNow, slo)
-                 : hopeless(shapeKey, req.deadlineMs, depthNow, slo));
+    bool doomed = !isClosed && hopeless(shapeKey, req.deadlineMs,
+                                        depthNow, slo, /*greedy=*/false);
     // Anytime-scheduling rescue: a request the ILP path cannot serve
     // in time is re-routed through the greedy path instead of being
     // turned away, when that path is predicted to make the budget
     // (degradePolicy Auto; Off keeps the strict reject behavior).
-    if (doomed && !degrade &&
-        cfg_.degradePolicy == DegradePolicy::Auto &&
-        !hopelessWhenDegraded(shapeKey, req.deadlineMs, depthNow,
-                              slo)) {
+    bool degrade = false;
+    if (doomed && cfg_.degradePolicy == DegradePolicy::Auto &&
+        !hopeless(shapeKey, req.deadlineMs, depthNow, slo,
+                  /*greedy=*/true)) {
         degrade = true;
         doomed = false;
     }
     // The estimate/admission-decision region: tenant policy resolve,
-    // deadline assignment, degrade decision, hopeless gate.
+    // hopeless gate, degrade rescue.
     if (traceId)
         TraceRecorder::global().endSpan(traceId, "estimate",
                                         estimateBegin,
@@ -433,12 +333,36 @@ EvalService::submit(EvalRequest req)
                 kHopelessProbeInterval;
         if (!probe) {
             metrics_.recordRejectedHopeless();
-            return hopelessRejection(depthNow);
+            // The rejection carries the deadline a resubmission could
+            // meet (see Submission::suggestedDeadlineMs) instead of
+            // leaving the client to blind-retry. The estimate covers
+            // queue drain + service; a lone retry also waits out the
+            // batching linger before dispatch, so the suggestion adds
+            // it.
+            Submission rejected{Admission::RejectedHopeless,
+                                std::future<EvalResponse>()};
+            const double budget = estimator_.suggestDeadlineMs(
+                shapeKey, depthNow, slo.factor);
+            if (budget > 0.0)
+                rejected.suggestedDeadlineMs =
+                    budget + std::chrono::duration<double, std::milli>(
+                                 effectiveLinger())
+                                 .count();
+            if (traceId) {
+                auto &rec = TraceRecorder::global();
+                rec.instant(traceId, "admission",
+                            static_cast<std::int64_t>(
+                                Admission::RejectedHopeless),
+                            "verdict");
+                rec.recordIncident(traceId, "rejected_hopeless", 0,
+                                   traceTag);
+            }
+            return rejected;
         }
-        hopelessStreak_.store(0, std::memory_order_relaxed);
-    } else {
-        hopelessStreak_.store(0, std::memory_order_relaxed);
     }
+    // Admitted (a probe or not): the idle rejection streak restarts.
+    // memory_order: relaxed — the streak is advisory (see above).
+    hopelessStreak_.store(0, std::memory_order_relaxed);
 
     Pending p;
     p.submitTime = Clock::now();
@@ -469,91 +393,8 @@ EvalService::submit(EvalRequest req)
         LockGuard lock(drainMu_);
         ++unresolved_;
     }
-    // Under Block, the hopeless verdict above was judged against the
-    // queue as it stood before any wait; if the push actually blocks,
-    // the queue re-judges the request against the state it wakes to —
-    // fresh depth, fresh EWMAs, and crucially the REMAINING deadline
-    // budget (the time spent blocked already burned part of it; a
-    // request whose deadline passed while it slept is refused here
-    // instead of occupying a slot just to expire). The callback runs
-    // under the queue lock and only reads leaf-locked estimator
-    // state. It is built only under the Block policy — the only
-    // policy that can wait — and only when there is a budget the
-    // re-check could find missed: a p95 target, or an (possibly
-    // tenant-default-assigned) deadline. A tenant that opted out of
-    // hopeless rejection (slo.factor == 0) skips it like every other
-    // hopeless gate, and the common Reject/Shed submit path stays
-    // free of the std::function allocation entirely.
-    RequestQueue::DoomedAfterWait doomedAfterWait;
-    const bool wantHopelessRecheck =
-        slo.factor > 0.0 &&
-        (slo.p95Ms > 0.0 || p.deadline != Clock::time_point::max());
-    const bool wantQualityRecheck =
-        cfg_.degradePolicy == DegradePolicy::Auto && qualityBudget > 0.0;
-    if (cfg_.queue.policy == AdmissionPolicy::Block &&
-        (wantHopelessRecheck || wantQualityRecheck)) {
-        doomedAfterWait =
-            [this, slo, shapeKey, qualityBudget, wantHopelessRecheck](
-                const Pending &pending,
-                std::size_t depth) -> RequestQueue::WaitVerdict {
-            using Verdict = RequestQueue::WaitVerdict;
-            const auto now = Clock::now();
-            double leftMs = 0.0; // no deadline
-            if (pending.deadline != Clock::time_point::max()) {
-                leftMs = msBetween(now, pending.deadline);
-                if (leftMs <= 0.0)
-                    return Verdict::Reject; // expired while blocked
-            }
-            // The p95 budget is end-to-end from submit, so the time
-            // already spent blocked has been spent from it too:
-            // doomed when elapsed + wait + service > factor * p95,
-            // expressed by shrinking the budget handed to the gate
-            // (elapsed / factor, since the gate scales the budget by
-            // factor). A budget fully burned while blocked is doomed
-            // outright — degrading cannot refund spent wall time.
-            SloView left = slo;
-            if (left.p95Ms > 0.0 && left.factor > 0.0) {
-                left.p95Ms -=
-                    msBetween(pending.submitTime, now) / left.factor;
-                if (left.p95Ms <= 0.0)
-                    return Verdict::Reject;
-            }
-            // A request already on the greedy path is never degraded
-            // again — the re-judge either confirms it or refuses it.
-            const bool canDegrade =
-                cfg_.degradePolicy == DegradePolicy::Auto &&
-                !pending.degrade;
-            if (wantHopelessRecheck) {
-                const bool stillDoomed =
-                    pending.degrade
-                        ? hopelessWhenDegraded(shapeKey, leftMs, depth,
-                                               left)
-                        : hopeless(shapeKey, leftMs, depth, left);
-                if (stillDoomed) {
-                    if (canDegrade &&
-                        !hopelessWhenDegraded(shapeKey, leftMs, depth,
-                                              left))
-                        return Verdict::Degrade;
-                    return Verdict::Reject;
-                }
-            }
-            // Quality-budget re-judge: the estimates moved while the
-            // submitter slept; a request now predicted past its
-            // quality budget joins the greedy path instead of
-            // blocking on toward a budget it will miss.
-            if (canDegrade && qualityBudget > 0.0 &&
-                estimator_.estimateServiceMs(shapeKey) > qualityBudget)
-                return Verdict::Degrade;
-            return Verdict::Admit;
-        };
-    }
-    auto pushed = queue_.push(std::move(p), doomedAfterWait);
+    auto pushed = queue_.push(std::move(p));
     if (pushed.admission != Admission::Admitted) {
-        if (pushed.admission == Admission::RejectedHopeless) {
-            metrics_.rollbackAdmittedToHopeless();
-            releaseDrainSlot();
-            return hopelessRejection(queue_.depth());
-        }
         metrics_.rollbackAdmittedToRejected();
         releaseDrainSlot();
         if (traceId)
@@ -564,12 +405,8 @@ EvalService::submit(EvalRequest req)
     }
     if (pushed.shed)
         finish(std::move(*pushed.shed), ResponseStatus::Shed);
-    // PushResult::degraded echoes Pending::degrade — set above, or by
-    // a WaitVerdict::Degrade re-judge inside the blocked push — so
-    // the caller learns its request took the anytime path.
-    const Admission verdict = pushed.degraded
-                                  ? Admission::ServedDegraded
-                                  : Admission::Admitted;
+    const Admission verdict =
+        degrade ? Admission::ServedDegraded : Admission::Admitted;
     if (traceId)
         TraceRecorder::global().instant(
             traceId, "admission", static_cast<std::int64_t>(verdict),
@@ -683,7 +520,7 @@ EvalService::adaptWaveLimit()
     std::vector<std::pair<std::string, double>> window;
     {
         LockGuard lock(sloMu_);
-        if (sloLatencies_.size() < cfg_.sloWindow)
+        if (sloLatencies_.size() < kSloWindow)
             return;
         window.swap(sloLatencies_);
     }
@@ -704,17 +541,15 @@ EvalService::adaptWaveLimit()
     // group comfortably healthy (p95 under 80% of its own target).
     // Per-tenant groups smaller than a handful of samples carry no
     // stable p95 (a lone scheduling outlier from a 3% tenant must
-    // not halve the cap for everyone), so they are skipped; a sub-4
-    // sloWindow lowers the bar with it, and the pooled group — the
-    // legacy judgment — is exempt.
-    const std::size_t minGroup =
-        std::min<std::size_t>(4, cfg_.sloWindow);
+    // not halve the cap for everyone), so they are skipped; the
+    // pooled group — the legacy judgment — is exempt.
+    constexpr std::size_t kMinGroup = 4;
     std::map<std::string, std::vector<double>> groups;
     for (auto &[tag, ms] : window) {
         // Own group only for tenants that set their own p95 (> 0
         // overrides, < 0 opts out — its group is then skipped as
         // target-less); an entry that merely tunes the admission
-        // factor or default deadline still inherits the global
+        // factor still inherits the global
         // target and pools with everyone else.
         const auto it = cfg_.tenantSlo.find(tag);
         const bool ownTarget =
@@ -727,7 +562,7 @@ EvalService::adaptWaveLimit()
     std::vector<std::string> violatedTags;
     for (auto &[tag, xs] : groups) {
         const bool pooled = tag.empty();
-        if (!pooled && xs.size() < minGroup)
+        if (!pooled && xs.size() < kMinGroup)
             continue; // too few samples for a stable verdict
         const double slo = sloFor(tag).p95Ms;
         if (slo <= 0.0)
@@ -769,7 +604,7 @@ EvalService::adaptWaveLimit()
                     tenantViolatedWindows_.size() < kMaxViolatedTagRows)
                     ++tenantViolatedWindows_[tag];
         }
-        cap = std::max(cfg_.minWave, cap / 2);
+        cap = std::max<std::size_t>(1, cap / 2);
     } else if (comfortable) {
         // Comfortably healthy across every judged tenant: grow
         // additively back toward maxWave for better coalescing.

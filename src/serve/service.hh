@@ -9,20 +9,19 @@
  *
  * Three production behaviors sit between submission and evaluation:
  *
- *  - Admission control: a bounded queue with Reject / Shed / Block
- *    policies (serve/queue.hh). Rejections are reported synchronously
- *    from submit(); shed and expired requests resolve their futures
- *    with the corresponding status — nothing is silently dropped.
- *    SLO-aware admission (serve/estimator.hh) additionally refuses a
- *    request up front (RejectedHopeless) when the predicted queue
- *    wait + service time already exceeds its deadline or its
- *    tenant's p95 SLO (ServiceConfig::tenantSlo, global knobs as
- *    fallback): doomed work is turned away in microseconds instead
- *    of occupying a queue slot and failing slowly. A hopeless
- *    rejection carries Submission::suggestedDeadlineMs — the budget
- *    the estimator predicts a resubmission could meet — and requests
- *    submitted without a deadline inherit their tenant's (optionally
- *    estimator-derived) default.
+ *  - Admission control: a bounded queue with Reject / Shed policies
+ *    (serve/queue.hh); submit() never blocks. Rejections are reported
+ *    synchronously from submit(); shed and expired requests resolve
+ *    their futures with the corresponding status — nothing is
+ *    silently dropped. SLO-aware admission (serve/estimator.hh)
+ *    additionally refuses a request up front (RejectedHopeless) when
+ *    the predicted queue wait + service time already exceeds its
+ *    deadline or its tenant's p95 SLO (ServiceConfig::tenantSlo,
+ *    global knobs as fallback): doomed work is turned away in
+ *    microseconds instead of occupying a queue slot and failing
+ *    slowly. A hopeless rejection carries
+ *    Submission::suggestedDeadlineMs — the budget the estimator
+ *    predicts a resubmission could meet.
  *  - Repeat serving: identical requests in one wave are coalesced
  *    into a single evaluation, and runInference's process-wide
  *    layer-schedule memo makes a repeated sweep point cost memo
@@ -87,29 +86,6 @@ struct TenantSlo
      * rejection for this tenant only.
      */
     double admissionFactor = -1.0;
-    /**
-     * Deadline assigned to this tenant's requests submitted without
-     * one. 0 assigns none (the global behavior); a positive value is
-     * a fixed queue-time budget in ms; a negative value derives the
-     * deadline from the cost estimator at submit time — the same
-     * wait-plus-service-over-factor formula as
-     * Submission::suggestedDeadlineMs, without its linger term — so
-     * an interactive tenant's requests expire promptly once the queue
-     * outgrows what the estimator believes they can survive, instead
-     * of languishing.
-     * (An estimator-derived deadline tracks load: while the estimator
-     * is cold no deadline is assigned.)
-     */
-    double defaultDeadlineMs = 0.0;
-    /**
-     * Quality budget (ms) for this tenant's requests that don't carry
-     * their own EvalRequest::maxQualityMs: under degradePolicy Auto,
-     * a request whose predicted ILP-path service time exceeds the
-     * budget is routed through the greedy scheduler instead. 0
-     * inherits the global ServiceConfig::maxQualityMs; negative opts
-     * this tenant out of budget-driven degradation.
-     */
-    double maxQualityMs = 0.0;
 };
 
 /**
@@ -121,29 +97,12 @@ enum class DegradePolicy
     Off,  //!< Never degrade; hopeless requests are rejected.
     /**
      * Degrade instead of rejecting: a request the estimator would
-     * refuse as hopeless (or whose predicted ILP service time blows
-     * its quality budget) is served greedy when the estimator
-     * predicts the greedy path CAN meet the budget — otherwise it is
-     * still rejected (degrading cannot fix a hopeless queue wait).
+     * refuse as hopeless is served greedy when the estimator predicts
+     * the greedy path CAN meet the budget — otherwise it is still
+     * rejected (degrading cannot fix a hopeless queue wait).
      */
-    Auto,
-    Force //!< Every request is served greedy (load-shedding mode).
+    Auto
 };
-
-/** DegradePolicy name for logs and tables. */
-inline const char *
-degradePolicyName(DegradePolicy p)
-{
-    switch (p) {
-      case DegradePolicy::Off:
-        return "off";
-      case DegradePolicy::Auto:
-        return "auto";
-      case DegradePolicy::Force:
-        return "force";
-    }
-    return "?";
-}
 
 /** Service shape: queue bounds, wave policy, SLO, degradation. */
 struct ServiceConfig
@@ -151,27 +110,24 @@ struct ServiceConfig
     QueueConfig queue; //!< Depth bound + admission policy + quotas.
     /** Most requests one runBatch wave may carry (coalescing cap). */
     std::size_t maxWave = 16;
-    /** Adaptive wave sizing never shrinks the cap below this. */
-    std::size_t minWave = 1;
     /**
      * How long the dispatcher lingers for more arrivals when fewer
      * than the wave cap requests are queued, so bursts amortize into
-     * full waves. 0 dispatches immediately (lowest latency). Under an
-     * SLO the effective linger scales with the adaptive wave cap.
+     * full waves. 0 dispatches immediately (lowest latency); negative
+     * values are clamped to 0. Under an SLO the effective linger
+     * scales with the adaptive wave cap.
      */
     std::chrono::milliseconds linger{0};
     /**
      * Target p95 end-to-end latency (queue + service, ms). When > 0
-     * the dispatcher adapts the wave cap between minWave and maxWave:
-     * each window of sloWindow completions whose p95 exceeds the SLO
-     * halves the cap (and the linger with it, cutting batching delay);
-     * a comfortably healthy window (p95 < 80% of the SLO) grows it
+     * the dispatcher adapts the wave cap between 1 and maxWave: each
+     * window of 32 completions whose p95 exceeds the SLO halves the
+     * cap (and the linger with it, cutting batching delay); a
+     * comfortably healthy window (p95 < 80% of the SLO) grows it
      * additively back toward maxWave for better coalescing. 0 keeps
      * the fixed maxWave/linger behavior.
      */
     double sloP95Ms = 0.0;
-    /** Completions per adaptation decision when sloP95Ms > 0. */
-    std::size_t sloWindow = 32;
     /**
      * SLO-aware admission headroom: a submission is refused with
      * RejectedHopeless when the cost estimator's predicted queue wait
@@ -200,26 +156,18 @@ struct ServiceConfig
      * that tenant's own target and shrinks the wave cap when ANY
      * tenant's SLO is violated — the strictest violated tenant drives
      * the decision — while growth requires every SLO-bearing tenant
-     * to be comfortably healthy. SLO-aware (hopeless) admission and
-     * estimator-driven deadline assignment gate each submission
-     * against the submitting tenant's entry.
+     * to be comfortably healthy. SLO-aware (hopeless) admission gates
+     * each submission against the submitting tenant's entry.
      */
     std::map<std::string, TenantSlo> tenantSlo;
     /**
      * Graceful degradation policy (see DegradePolicy): Off preserves
      * the reject-hopeless behavior, Auto converts would-be
-     * RejectedHopeless outcomes (and quality-budget overruns) into
-     * ServedDegraded greedy-scheduled evaluations, Force routes every
-     * request through the greedy path.
+     * RejectedHopeless outcomes into ServedDegraded greedy-scheduled
+     * evaluations when the greedy path is predicted to make the
+     * budget.
      */
     DegradePolicy degradePolicy = DegradePolicy::Off;
-    /**
-     * Global quality budget (ms): the default TenantSlo::maxQualityMs
-     * and EvalRequest::maxQualityMs fall back to. 0 = no budget
-     * (degradation then only triggers on hopeless-by-SLO/deadline
-     * requests under Auto).
-     */
-    double maxQualityMs = 0.0;
     /**
      * Path of the persistent result store (common/diskcache.hh).
      * Empty disables it. When set, evaluated results are appended to
@@ -241,10 +189,12 @@ struct ServiceConfig
      * configuration.
      */
     std::uint64_t traceSampleEvery = 0;
-    /** Tracer per-thread ring capacity in events (rounded to 2^k). */
+    /**
+     * Tracer per-thread ring capacity in events (rounded to 2^k). The
+     * flight recorder keeps TraceRecorder::Config's default incident
+     * log cap.
+     */
     std::size_t traceRingSlots = 4096;
-    /** Most flight-recorder incidents retained (FIFO eviction). */
-    std::size_t incidentLogCap = 32;
 };
 
 class EvalService
@@ -339,45 +289,32 @@ class EvalService
 
     /**
      * @p tag's SLO policy with the global-knob fallbacks resolved
-     * (see TenantSlo): p95Ms and factor are directly usable (0 means
-     * none/disabled), defaultDeadlineMs keeps the table's tri-state.
+     * (see TenantSlo): 0 means no p95 target / hopeless rejection
+     * disabled.
      */
     struct SloView
     {
         double p95Ms = 0.0;
         double factor = 0.0;
-        double defaultDeadlineMs = 0.0;
-        double maxQualityMs = 0.0; //!< 0 = no quality budget.
     };
     SloView sloFor(const std::string &tag) const;
 
     /**
-     * Degraded-path twin of hopeless(): would this request still be
-     * hopeless if served through the greedy scheduler? Uses the
-     * greedy shape EWMA ("<shape>|greedy", optimistically 0 when
-     * untracked — see CostEstimator::shapeEstimateMs) for the service
-     * term; the queue-wait term is unchanged, because degrading a
-     * request cannot make the queue in front of it drain faster.
-     */
-    bool hopelessWhenDegraded(const std::string &shapeKey,
-                              double deadlineMs,
-                              std::size_t queueDepth,
-                              const SloView &slo) const;
-
-    /**
      * True when the estimator predicts a request of @p shapeKey with
-     * @p deadlineMs of queue budget left (<= 0 = none) cannot meet
-     * that budget even if admitted now behind @p queueDepth queued
+     * @p deadlineMs of queue budget (<= 0 = none) cannot meet that
+     * budget even if admitted now behind @p queueDepth queued
      * requests, judged against @p slo — the submitting tenant's
      * resolved policy (see ServiceConfig::sloAdmissionFactor /
-     * tenantSlo). The depth is sampled once by submit() so the
-     * verdict and the probe decision built on it agree; the
-     * Block-policy post-wait re-check passes the REMAINING deadline
-     * budget, not the original one, so time spent blocked counts
-     * against the request.
+     * tenantSlo). With @p greedy set it judges the degraded path
+     * instead: the service term is the greedy twin's own EWMA
+     * ("<shape>|greedy", optimistically 0 when untracked — see
+     * CostEstimator::shapeEstimateMs), while the queue-wait term is
+     * the same, because degrading a request cannot make the queue in
+     * front of it drain faster.
      */
     bool hopeless(const std::string &shapeKey, double deadlineMs,
-                  std::size_t queueDepth, const SloView &slo) const;
+                  std::size_t queueDepth, const SloView &slo,
+                  bool greedy) const;
 
     /**
      * Estimator-confidence tightening of an admission factor: when

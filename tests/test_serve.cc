@@ -13,7 +13,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <deque>
@@ -134,35 +133,6 @@ TEST(RequestQueue, ExpiredEntriesAreSweptNotDispatched)
     EXPECT_EQ(wave.expired[0].seq, 0u);
     ASSERT_EQ(wave.items.size(), 1u);
     EXPECT_EQ(wave.items[0].seq, 1u);
-}
-
-TEST(RequestQueue, BlockPolicyWaitsForSpaceAndCloseUnblocks)
-{
-    serve::RequestQueue q({1, serve::AdmissionPolicy::Block});
-    EXPECT_EQ(q.push(makePending(serve::Priority::Normal, 0)).admission,
-              serve::Admission::Admitted);
-
-    // A second push blocks on the full queue until a pop frees space.
-    std::thread pusher([&]() {
-        auto res = q.push(makePending(serve::Priority::Normal, 1));
-        EXPECT_EQ(res.admission, serve::Admission::Admitted);
-    });
-    auto wave = q.popWave(1, std::chrono::milliseconds(0));
-    ASSERT_EQ(wave.items.size(), 1u);
-    EXPECT_EQ(wave.items[0].seq, 0u);
-    pusher.join();
-    EXPECT_EQ(q.depth(), 1u); // the unblocked push landed
-
-    // A pusher blocked on a full queue wakes with RejectedClosed when
-    // the queue closes underneath it.
-    std::thread blocked([&]() {
-        auto res = q.push(makePending(serve::Priority::Normal, 2));
-        EXPECT_EQ(res.admission, serve::Admission::RejectedClosed);
-    });
-    // Give the pusher a moment to reach the wait before closing.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-    blocked.join();
 }
 
 TEST(RequestQueue, ExpiringEntryWakesLingerEarly)
@@ -319,67 +289,6 @@ TEST(RequestQueue, ShedPolicyCannotBypassTenantQuota)
     EXPECT_EQ(q.tenantDepth("mouse"), 2u);
 }
 
-TEST(RequestQueue, BlockedOnTenantQuotaWakesOnTenantDrain)
-{
-    // Regression for the Block + maxPerTenant wait: a submitter
-    // blocked purely on its tenant quota (the queue itself has free
-    // space) must wake when that tenant's entries drain through
-    // popWave. All dequeue paths notify spaceCv_, so this must not
-    // hang.
-    serve::QueueConfig qc;
-    qc.maxDepth = 8;
-    qc.policy = serve::AdmissionPolicy::Block;
-    qc.maxPerTenant = 1;
-    serve::RequestQueue q(qc);
-
-    ASSERT_EQ(q.push(makePending(serve::Priority::Normal, 0, 0.0, "t"))
-                  .admission,
-              serve::Admission::Admitted);
-    std::atomic<bool> admitted{false};
-    std::thread pusher([&]() {
-        auto res =
-            q.push(makePending(serve::Priority::Normal, 1, 0.0, "t"));
-        EXPECT_EQ(res.admission, serve::Admission::Admitted);
-        admitted.store(true);
-    });
-    // The pusher must be quota-blocked, not admitted: depth 1 < 8.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    EXPECT_FALSE(admitted.load());
-    EXPECT_EQ(q.depth(), 1u);
-
-    // Draining the tenant's queued entry unblocks the pusher.
-    auto wave = q.popWave(1, std::chrono::milliseconds(0));
-    ASSERT_EQ(wave.items.size(), 1u);
-    EXPECT_EQ(wave.items[0].seq, 0u);
-    pusher.join();
-    EXPECT_TRUE(admitted.load());
-    EXPECT_EQ(q.tenantDepth("t"), 1u);
-}
-
-TEST(RequestQueue, BlockedOnTenantQuotaWakesOnClose)
-{
-    serve::QueueConfig qc;
-    qc.maxDepth = 8;
-    qc.policy = serve::AdmissionPolicy::Block;
-    qc.maxPerTenant = 1;
-    serve::RequestQueue q(qc);
-
-    ASSERT_EQ(q.push(makePending(serve::Priority::Normal, 0, 0.0, "t"))
-                  .admission,
-              serve::Admission::Admitted);
-    std::thread pusher([&]() {
-        auto res =
-            q.push(makePending(serve::Priority::Normal, 1, 0.0, "t"));
-        EXPECT_EQ(res.admission, serve::Admission::RejectedClosed);
-    });
-    // Give the pusher a moment to reach the quota wait, then close:
-    // it must wake with RejectedClosed instead of hanging forever.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-    pusher.join();
-    EXPECT_EQ(q.depth(), 1u); // the blocked push never landed
-}
-
 TEST(RequestQueue, DeadlinePushedMidLingerShortensTheWait)
 {
     serve::RequestQueue q({8, serve::AdmissionPolicy::Reject});
@@ -403,81 +312,6 @@ TEST(RequestQueue, DeadlinePushedMidLingerShortensTheWait)
     ASSERT_EQ(wave.items.size(), 1u);
     EXPECT_EQ(wave.items[0].seq, 0u);
     EXPECT_LT(ms, 2500.0);
-}
-
-TEST(RequestQueue, BlockRecheckRejectsDoomedAfterWait)
-{
-    // Regression for stale Block admission: a submit that blocks on
-    // queue space was cost-checked against the wait predicted BEFORE
-    // blocking; the queue must re-consult the caller after the wait
-    // wakes so a now-doomed request is refused instead of admitted on
-    // a stale estimate.
-    serve::RequestQueue q({1, serve::AdmissionPolicy::Block});
-    ASSERT_EQ(q.push(makePending(serve::Priority::Normal, 0)).admission,
-              serve::Admission::Admitted);
-
-    std::atomic<int> rechecks{0};
-    std::thread pusher([&]() {
-        auto res = q.push(
-            makePending(serve::Priority::Normal, 1),
-            [&](const serve::Pending &p, std::size_t depth) {
-                // Invoked under the lock with the post-wake state:
-                // the wave pop below left the queue empty.
-                EXPECT_EQ(p.seq, 1u);
-                EXPECT_EQ(depth, 0u);
-                ++rechecks;
-                return serve::RequestQueue::WaitVerdict::Reject;
-            });
-        EXPECT_EQ(res.admission, serve::Admission::RejectedHopeless);
-        EXPECT_FALSE(res.shed.has_value());
-    });
-    // Let the pusher reach the full-queue wait, then free space.
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    auto wave = q.popWave(1, std::chrono::milliseconds(0));
-    ASSERT_EQ(wave.items.size(), 1u);
-    pusher.join();
-    EXPECT_EQ(rechecks.load(), 1);
-    EXPECT_EQ(q.depth(), 0u); // the doomed push never landed
-}
-
-TEST(RequestQueue, BlockRecheckSkippedWhenPushDidNotWait)
-{
-    // The re-check exists to refresh a stale pre-block estimate; a
-    // push that never blocked was judged against current state
-    // already, so the callback must not fire (and must not be able
-    // to reject).
-    serve::RequestQueue q({4, serve::AdmissionPolicy::Block});
-    std::atomic<int> rechecks{0};
-    auto res = q.push(makePending(serve::Priority::Normal, 0),
-                      [&](const serve::Pending &, std::size_t) {
-                          ++rechecks;
-                          return serve::RequestQueue::WaitVerdict::Reject;
-                      });
-    EXPECT_EQ(res.admission, serve::Admission::Admitted);
-    EXPECT_EQ(rechecks.load(), 0);
-    EXPECT_EQ(q.depth(), 1u);
-}
-
-TEST(RequestQueue, BlockRecheckNeverMasksClose)
-{
-    // A pusher that blocks and then sees the queue close must report
-    // RejectedClosed, never RejectedHopeless — shutdown stays
-    // distinguishable from load rejection even with a doomed verdict
-    // pending.
-    serve::RequestQueue q({1, serve::AdmissionPolicy::Block});
-    ASSERT_EQ(q.push(makePending(serve::Priority::Normal, 0)).admission,
-              serve::Admission::Admitted);
-    std::thread pusher([&]() {
-        auto res = q.push(makePending(serve::Priority::Normal, 1),
-                          [&](const serve::Pending &, std::size_t) {
-                              return serve::RequestQueue::WaitVerdict::
-                                  Reject;
-                          });
-        EXPECT_EQ(res.admission, serve::Admission::RejectedClosed);
-    });
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    q.close();
-    pusher.join();
 }
 
 TEST(RequestQueue, CloseRejectsAndDrains)
@@ -906,11 +740,9 @@ TEST(EvalService, AdaptiveWaveShrinksToMinUnderViolatedSlo)
     auto net = cnn::convLayersOnly(cnn::makeMobileNet());
 
     serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 128;
+    cfg.queue.maxDepth = 256;
     cfg.maxWave = 8;
-    cfg.minWave = 1;
     cfg.sloP95Ms = 1e-6; // unreachable: every window violates
-    cfg.sloWindow = 8;
     // This test measures wave adaptation, not admission: with the
     // absurd SLO, hopeless rejection would start refusing submissions
     // as soon as the estimator warms (raced by the dispatcher).
@@ -919,7 +751,7 @@ TEST(EvalService, AdaptiveWaveShrinksToMinUnderViolatedSlo)
     EXPECT_EQ(svc.waveLimit(), 8u); // starts at maxWave
 
     std::vector<std::future<serve::EvalResponse>> futures;
-    for (int i = 0; i < 64; ++i) {
+    for (int i = 0; i < 128; ++i) {
         auto sub = svc.submit(makeRequest(accel::Scheme::Sram, net, 1));
         ASSERT_TRUE(sub.admitted());
         futures.push_back(std::move(sub.response));
@@ -929,8 +761,8 @@ TEST(EvalService, AdaptiveWaveShrinksToMinUnderViolatedSlo)
     svc.drain();
 
     const auto m = svc.metrics();
-    // 64 completions = 8 full windows; multiplicative decrease walks
-    // 8 -> 4 -> 2 -> 1 well within them.
+    // 128 completions = 4 full windows of 32; multiplicative decrease
+    // walks 8 -> 4 -> 2 -> 1 within the first three.
     EXPECT_EQ(m.waveLimit, 1u);
     EXPECT_EQ(svc.waveLimit(), 1u);
     EXPECT_GE(m.sloViolatedWindows, 3u);
@@ -945,13 +777,11 @@ TEST(EvalService, AdaptiveWaveHoldsMaxUnderHealthySlo)
     serve::ServiceConfig cfg;
     cfg.queue.maxDepth = 128;
     cfg.maxWave = 8;
-    cfg.minWave = 1;
     cfg.sloP95Ms = 1e9; // generous: p95 always comfortably within
-    cfg.sloWindow = 8;
     serve::EvalService svc(cfg);
 
     std::vector<std::future<serve::EvalResponse>> futures;
-    for (int i = 0; i < 32; ++i) {
+    for (int i = 0; i < 64; ++i) {
         auto sub = svc.submit(makeRequest(accel::Scheme::Sram, net, 1));
         ASSERT_TRUE(sub.admitted());
         futures.push_back(std::move(sub.response));
@@ -965,31 +795,6 @@ TEST(EvalService, AdaptiveWaveHoldsMaxUnderHealthySlo)
     EXPECT_EQ(m.sloViolatedWindows, 0u);
     EXPECT_GE(m.sloWindows, 1u);
     EXPECT_DOUBLE_EQ(m.sloP95Ms, 1e9);
-}
-
-TEST(EvalService, BlockPolicyBackpressuresInsteadOfRejecting)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-
-    serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 1;
-    cfg.queue.policy = serve::AdmissionPolicy::Block;
-    serve::EvalService svc(cfg);
-
-    // Over-submitting a depth-1 queue never rejects under Block: each
-    // submit waits for the dispatcher to free space instead.
-    std::vector<std::future<serve::EvalResponse>> futures;
-    for (int i = 0; i < 6; ++i) {
-        auto sub = svc.submit(makeRequest(accel::Scheme::Sram, net, 1));
-        ASSERT_TRUE(sub.admitted());
-        futures.push_back(std::move(sub.response));
-    }
-    for (auto &f : futures)
-        EXPECT_EQ(f.get().status, serve::ResponseStatus::Ok);
-    const auto m = svc.metrics();
-    EXPECT_EQ(m.rejected, 0u);
-    EXPECT_EQ(m.completed, 6u);
 }
 
 TEST(EvalService, QueueDeadlineExpiresBeforeDispatch)
@@ -1116,8 +921,7 @@ TEST(EvalService, TenantSloGatesAdmissionPerTenant)
     // gate is scoped to the submitting tenant.
     serve::ServiceConfig cfg;
     cfg.sloP95Ms = 0.0;
-    cfg.tenantSlo["rt"] = {/*p95Ms=*/1e-6, /*admissionFactor=*/1.0,
-                           /*defaultDeadlineMs=*/0.0};
+    cfg.tenantSlo["rt"] = {/*p95Ms=*/1e-6, /*admissionFactor=*/1.0};
     serve::EvalService svc(cfg);
 
     // Warm through an unconstrained tenant.
@@ -1153,8 +957,7 @@ TEST(EvalService, TenantSloOptOutShieldsLaxTenantFromGlobalSlo)
     // tenants are refused once warm.
     serve::ServiceConfig cfg;
     cfg.sloP95Ms = 1e-6;
-    cfg.tenantSlo["lax"] = {/*p95Ms=*/-1.0, /*admissionFactor=*/-1.0,
-                            /*defaultDeadlineMs=*/0.0};
+    cfg.tenantSlo["lax"] = {/*p95Ms=*/-1.0, /*admissionFactor=*/-1.0};
     serve::EvalService svc(cfg);
     auto warm = makeRequest(accel::Scheme::Sram, net, 1);
     warm.tag = "lax";
@@ -1230,159 +1033,31 @@ TEST(EvalService, SuggestedDeadlineAdmitsOnResubmitOnceDrained)
     EXPECT_EQ(m.submitted, m.admitted + m.rejected);
 }
 
-TEST(EvalService, BlockedSubmitDoomedByItsOwnDeadlineRefusedAtWake)
+TEST(EvalService, NegativeLingerNeverShortensSuggestedDeadline)
 {
     setInformEnabled(false);
     auto net = cnn::convLayersOnly(cnn::makeMobileNet());
+    const std::string shape = accel::requestShapeKey(net, 1);
 
-    // A Block-policy submitter burns its deadline budget while
-    // blocked: the pre-block check passed (cold estimator, no
-    // evidence), but by the time space frees — the pinned entry
-    // dispatches at the ~800 ms linger — the 100 ms deadline is long
-    // gone. The post-wait re-check must refuse it as hopeless
-    // instead of admitting it to a slot it can only expire in.
+    // A negative linger is clamped to 0 at construction, so it can
+    // neither linger nor subtract from a hopeless rejection's
+    // suggested deadline (which could then go negative). The p95
+    // target makes the request hopeless on an idle queue, where its
+    // queue deadline alone could not be (zero predicted wait).
     serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 1;
-    cfg.queue.policy = serve::AdmissionPolicy::Block;
-    cfg.maxWave = 4;
-    cfg.linger = std::chrono::milliseconds(800);
+    cfg.linger = std::chrono::milliseconds(-5);
+    cfg.sloP95Ms = 1.0;
     serve::EvalService svc(cfg);
-
-    auto pinned = svc.submit(makeRequest(accel::Scheme::Sram, net, 1));
-    ASSERT_TRUE(pinned.admitted());
-    std::thread blocked([&]() {
-        auto req = makeRequest(accel::Scheme::Sram, net, 2);
-        req.deadlineMs = 100.0;
-        auto sub = svc.submit(req);
-        EXPECT_EQ(sub.admission, serve::Admission::RejectedHopeless);
-    });
-    blocked.join();
-    EXPECT_EQ(pinned.response.get().status, serve::ResponseStatus::Ok);
-    const auto m = svc.metrics();
-    EXPECT_EQ(m.rejectedHopeless, 1u);
-    EXPECT_EQ(m.submitted, m.admitted + m.rejected);
-    EXPECT_EQ(m.expired, 0u); // refused at wake, never queued-to-die
-}
-
-TEST(EvalService, BlockedSubmitThatOutwaitedItsTenantP95IsRefused)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-
-    // The p95 budget is end-to-end from submit: a Block-policy
-    // submitter that spent longer blocked than its tenant's whole
-    // p95 target can only complete as an SLO violation, so the
-    // post-wait re-check must refuse it even though the queue it
-    // wakes to is empty and the fresh wait + service estimate alone
-    // fits the budget comfortably.
-    serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 1;
-    cfg.queue.policy = serve::AdmissionPolicy::Block;
-    cfg.maxWave = 4;
-    cfg.linger = std::chrono::milliseconds(800); // pins the filler
-    cfg.sloP95Ms = 0.0;
-    cfg.tenantSlo["rt"] = {/*p95Ms=*/200.0, /*admissionFactor=*/1.0,
-                           /*defaultDeadlineMs=*/0.0};
-    serve::EvalService svc(cfg);
-
-    // Warm the estimator with a fast untagged request (small EWMAs:
-    // the pre-block check must pass), then pin the queue.
-    svc.submit(makeRequest(accel::Scheme::Sram, net, 1))
-        .response.get();
-    auto pinned = svc.submit(makeRequest(accel::Scheme::Sram, net, 2));
-    ASSERT_TRUE(pinned.admitted());
-
-    std::thread blocked([&]() {
-        auto req = makeRequest(accel::Scheme::Sram, net, 3);
-        req.tag = "rt";
-        auto sub = svc.submit(req); // blocks ~800 ms >> the 200 ms p95
-        EXPECT_EQ(sub.admission, serve::Admission::RejectedHopeless);
-    });
-    blocked.join();
-    EXPECT_EQ(pinned.response.get().status, serve::ResponseStatus::Ok);
-    const auto m = svc.metrics();
-    EXPECT_EQ(m.rejectedHopeless, 1u);
-    EXPECT_EQ(m.submitted, m.admitted + m.rejected);
-}
-
-TEST(EvalService, FixedDefaultDeadlineInheritedFromTenantTable)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-
-    // The tenant's fixed default deadline is assigned to deadline-less
-    // submissions: pinned behind a long linger, the request expires at
-    // its inherited ~40 ms budget instead of waiting out the 2 s
-    // linger (which would flunk the wall-clock bound below).
-    serve::ServiceConfig cfg;
-    cfg.maxWave = 4;
-    cfg.linger = std::chrono::milliseconds(2000);
-    cfg.tenantSlo["impatient"] = {/*p95Ms=*/0.0,
-                                  /*admissionFactor=*/-1.0,
-                                  /*defaultDeadlineMs=*/40.0};
-    serve::EvalService svc(cfg);
+    EXPECT_EQ(svc.config().linger.count(), 0);
+    svc.costEstimator().recordService(shape, 50.0);
+    svc.costEstimator().recordWave(50.0, 1);
 
     auto req = makeRequest(accel::Scheme::Sram, net, 1);
-    req.tag = "impatient";
-    const auto t0 = Clock::now();
-    auto sub = svc.submit(req);
-    ASSERT_TRUE(sub.admitted());
-    auto resp = sub.response.get();
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0)
-            .count();
-    EXPECT_EQ(resp.status, serve::ResponseStatus::Expired);
-    EXPECT_LT(ms, 1500.0); // woke at the deadline, not the linger
-    EXPECT_EQ(svc.metrics().expired, 1u);
-}
-
-TEST(EvalService, EstimatorDerivedDefaultDeadlineTracksLoad)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-
-    // defaultDeadlineMs < 0 derives the deadline from the estimator
-    // at submit. Cold, no deadline is assigned (the warm-up wave
-    // completes Ok); warm, the assigned budget is a few
-    // service-times, so a request pinned by a long linger expires
-    // promptly instead of waiting the linger out.
-    serve::ServiceConfig cfg;
-    cfg.maxWave = 4;
-    cfg.linger = std::chrono::milliseconds(2000);
-    cfg.tenantSlo["auto"] = {/*p95Ms=*/0.0, /*admissionFactor=*/-1.0,
-                             /*defaultDeadlineMs=*/-1.0};
-    serve::EvalService svc(cfg);
-
-    // Cold phase: a full maxWave of submissions dispatches without
-    // waiting out the linger; the estimator is cold at each submit,
-    // so none of them is assigned a deadline and all complete Ok.
-    std::vector<std::future<serve::EvalResponse>> warmup;
-    for (int b = 1; b <= 4; ++b) {
-        auto req = makeRequest(accel::Scheme::Sram, net, b);
-        req.tag = "auto";
-        auto sub = svc.submit(req);
-        ASSERT_TRUE(sub.admitted());
-        warmup.push_back(std::move(sub.response));
-    }
-    for (auto &f : warmup)
-        EXPECT_EQ(f.get().status, serve::ResponseStatus::Ok);
-    svc.drain();
-
-    // Warm phase, idle queue: the assigned budget is the bare service
-    // EWMA (a few ms), far under the 2 s linger pinning the request —
-    // it expires at its estimator-derived deadline.
-    auto req = makeRequest(accel::Scheme::Sram, net, 5);
-    req.tag = "auto";
-    const auto t0 = Clock::now();
-    auto second = svc.submit(req);
-    ASSERT_TRUE(second.admitted());
-    auto resp = second.response.get();
-    const double ms =
-        std::chrono::duration<double, std::milli>(Clock::now() - t0)
-            .count();
-    EXPECT_EQ(resp.status, serve::ResponseStatus::Expired);
-    EXPECT_LT(ms, 1500.0); // woke at the deadline, not the linger
-    EXPECT_EQ(svc.metrics().expired, 1u);
+    req.deadlineMs = 10.0;
+    auto rejected = svc.submit(req);
+    ASSERT_EQ(rejected.admission, serve::Admission::RejectedHopeless);
+    EXPECT_DOUBLE_EQ(rejected.suggestedDeadlineMs,
+                     svc.costEstimator().suggestDeadlineMs(shape, 0, 1.0));
 }
 
 TEST(EvalService, PerTenantLatencyAndSloExportedInSnapshotAndJson)
@@ -1392,8 +1067,7 @@ TEST(EvalService, PerTenantLatencyAndSloExportedInSnapshotAndJson)
 
     serve::ServiceConfig cfg;
     cfg.sloP95Ms = 500.0;
-    cfg.tenantSlo["rt"] = {/*p95Ms=*/250.0, /*admissionFactor=*/-1.0,
-                           /*defaultDeadlineMs=*/0.0};
+    cfg.tenantSlo["rt"] = {/*p95Ms=*/250.0, /*admissionFactor=*/-1.0};
     serve::EvalService svc(cfg);
     for (const char *tag : {"rt", "bulk", "rt"}) {
         auto req = makeRequest(accel::Scheme::Sram, net, 1);
@@ -1437,21 +1111,17 @@ TEST(EvalService, AdaptiveWaveShrinksWhenStrictestTenantViolates)
     // majority must never average the violation away). Admission is
     // disabled for the strict tenant so its completions keep flowing.
     serve::ServiceConfig cfg;
-    cfg.queue.maxDepth = 128;
+    cfg.queue.maxDepth = 256;
     cfg.maxWave = 8;
-    cfg.minWave = 1;
     cfg.sloP95Ms = 0.0;
-    cfg.sloWindow = 8;
     cfg.tenantSlo["strict"] = {/*p95Ms=*/1e-6,
-                               /*admissionFactor=*/0.0,
-                               /*defaultDeadlineMs=*/0.0};
-    cfg.tenantSlo["lax"] = {/*p95Ms=*/1e9, /*admissionFactor=*/0.0,
-                            /*defaultDeadlineMs=*/0.0};
+                               /*admissionFactor=*/0.0};
+    cfg.tenantSlo["lax"] = {/*p95Ms=*/1e9, /*admissionFactor=*/0.0};
     serve::EvalService svc(cfg);
     EXPECT_EQ(svc.waveLimit(), 8u);
 
     std::vector<std::future<serve::EvalResponse>> futures;
-    for (int i = 0; i < 64; ++i) {
+    for (int i = 0; i < 128; ++i) {
         auto req = makeRequest(accel::Scheme::Sram, net, 1);
         req.tag = (i % 2) ? "strict" : "lax";
         auto sub = svc.submit(req);
@@ -1485,17 +1155,13 @@ TEST(EvalService, AdaptiveWaveHoldsMaxWhenEveryTenantHealthy)
     serve::ServiceConfig cfg;
     cfg.queue.maxDepth = 128;
     cfg.maxWave = 8;
-    cfg.minWave = 1;
     cfg.sloP95Ms = 0.0; // per-tenant targets only
-    cfg.sloWindow = 8;
-    cfg.tenantSlo["a"] = {/*p95Ms=*/1e9, /*admissionFactor=*/-1.0,
-                          /*defaultDeadlineMs=*/0.0};
-    cfg.tenantSlo["b"] = {/*p95Ms=*/1e9, /*admissionFactor=*/-1.0,
-                          /*defaultDeadlineMs=*/0.0};
+    cfg.tenantSlo["a"] = {/*p95Ms=*/1e9, /*admissionFactor=*/-1.0};
+    cfg.tenantSlo["b"] = {/*p95Ms=*/1e9, /*admissionFactor=*/-1.0};
     serve::EvalService svc(cfg);
 
     std::vector<std::future<serve::EvalResponse>> futures;
-    for (int i = 0; i < 32; ++i) {
+    for (int i = 0; i < 64; ++i) {
         auto req = makeRequest(accel::Scheme::Sram, net, 1);
         req.tag = (i % 2) ? "a" : "b";
         auto sub = svc.submit(req);

@@ -1,11 +1,10 @@
 /**
  * @file
  * Graceful-degradation tests for the evaluation service: anytime
- * (greedy) scheduling under DegradePolicy Off/Auto/Force, quality
- * budgets, the Block-policy post-wait re-judge, suggested-deadline
- * resubmits, and the persistent result store across restarts
- * (including injected corruption). Companion to tests/test_serve.cc,
- * which covers the non-degraded serve path.
+ * (greedy) scheduling under DegradePolicy Off/Auto (the hopeless
+ * rescue), suggested-deadline resubmits, and the persistent result
+ * store across restarts (including injected corruption). Companion
+ * to tests/test_serve.cc, which covers the non-degraded serve path.
  */
 
 #include <gtest/gtest.h>
@@ -13,8 +12,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "accel/hash.hh"
@@ -58,6 +57,33 @@ expectIdentical(const accel::InferenceResult &a,
     ASSERT_EQ(a.layers.size(), b.layers.size());
     for (std::size_t i = 0; i < a.layers.size(); ++i)
         EXPECT_EQ(a.layers[i].totalCycles, b.layers[i].totalCycles);
+}
+
+/**
+ * Teach @p svc's estimator that the ILP path of every (@p net, batch)
+ * shape in @p batches costs 60 s, far past a 2 s p95 target, over a
+ * fast queue drain; the greedy twins stay untracked (optimistically
+ * cheap). Under degradePolicy Auto such requests are then rescued
+ * onto the greedy path, as in AutoRescuesHopelessBurstAsServedDegraded.
+ */
+void
+teachIlpHopeless(serve::EvalService &svc, const cnn::CnnModel &net,
+                 std::initializer_list<int> batches)
+{
+    for (int b : batches)
+        svc.costEstimator().recordService(accel::requestShapeKey(net, b),
+                                          60e3);
+    svc.costEstimator().recordWave(10.0, 100);
+}
+
+/** degradePolicy Auto under a 2 s p95 target (see teachIlpHopeless). */
+serve::ServiceConfig
+rescueConfig()
+{
+    serve::ServiceConfig cfg;
+    cfg.sloP95Ms = 2000.0;
+    cfg.degradePolicy = serve::DegradePolicy::Auto;
+    return cfg;
 }
 
 std::string
@@ -155,18 +181,43 @@ TEST(EvalServiceDegrade, AutoRescuesHopelessBurstAsServedDegraded)
     EXPECT_TRUE(sawTenant);
 }
 
+TEST(EvalServiceDegrade, AutoRejectsWhenGreedyTwinIsAlsoHopeless)
+{
+    setInformEnabled(false);
+    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
+    const std::string shape = accel::requestShapeKey(net, 1);
+
+    serve::ServiceConfig cfg;
+    cfg.sloP95Ms = 5000.0;
+    cfg.degradePolicy = serve::DegradePolicy::Auto;
+    serve::EvalService svc(cfg);
+    // Both paths are tracked over budget, so the rescue has no
+    // cheaper path to route the request to: Auto rejects like Off.
+    svc.costEstimator().recordService(shape, 100e3);
+    svc.costEstimator().recordService(shape + "|greedy", 100e3);
+    svc.costEstimator().recordWave(1.0, 100); // near-zero wait term
+
+    auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
+    EXPECT_EQ(sub.admission, serve::Admission::RejectedHopeless);
+    EXPECT_FALSE(sub.response.valid());
+    EXPECT_GT(sub.suggestedDeadlineMs, 0.0);
+    const auto m = svc.metrics();
+    EXPECT_EQ(m.rejectedHopeless, 1u);
+    EXPECT_EQ(m.admitted, 0u);
+    EXPECT_EQ(m.servedDegraded, 0u);
+}
+
 // ------------------------------------------------------------------
-// Force policy and the degraded determinism contract
+// The degraded determinism contract
 // ------------------------------------------------------------------
 
-TEST(EvalServiceDegrade, ForceServesGreedyBitIdenticalToDirectRun)
+TEST(EvalServiceDegrade, RescuedRequestBitIdenticalToDirectGreedyRun)
 {
     setInformEnabled(false);
     auto net = cnn::convLayersOnly(cnn::makeAlexNet());
 
-    serve::ServiceConfig cfg;
-    cfg.degradePolicy = serve::DegradePolicy::Force;
-    serve::EvalService svc(cfg);
+    serve::EvalService svc(rescueConfig());
+    teachIlpHopeless(svc, net, {2});
 
     auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 2));
     ASSERT_EQ(sub.admission, serve::Admission::ServedDegraded);
@@ -185,7 +236,9 @@ TEST(EvalServiceDegrade, ForceServesGreedyBitIdenticalToDirectRun)
 
     // A repeat is a fresh greedy re-evaluation (the schedule memo
     // holds the greedy layer schedules under their own key), still
-    // honestly degraded and bit-identical to the first.
+    // honestly degraded and bit-identical to the first. The ILP
+    // estimate is untouched by the greedy sample, so it is rescued
+    // again.
     auto again = svc.submit(makeRequest(accel::Scheme::Smart, net, 2));
     ASSERT_EQ(again.admission, serve::Admission::ServedDegraded);
     auto repeat = again.response.get();
@@ -196,78 +249,32 @@ TEST(EvalServiceDegrade, ForceServesGreedyBitIdenticalToDirectRun)
     expectIdentical(repeat.result, direct);
 }
 
-// ------------------------------------------------------------------
-// Quality budgets: request / tenant / global tri-state
-// ------------------------------------------------------------------
-
-TEST(EvalServiceDegrade, QualityBudgetTriStateRoutesPerRequest)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-    const std::string shape = accel::requestShapeKey(net, 1);
-
-    serve::ServiceConfig cfg;
-    cfg.degradePolicy = serve::DegradePolicy::Auto;
-    cfg.maxQualityMs = 1.0; // global budget
-    cfg.tenantSlo["batch"].maxQualityMs = -1.0; // tenant opt-out
-    serve::EvalService svc(cfg);
-    svc.costEstimator().recordService(shape, 50.0); // ILP looks slow
-
-    // Inherits the global budget: predicted 50 ms > 1 ms -> greedy.
-    auto degraded =
-        svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
-    EXPECT_EQ(degraded.admission, serve::Admission::ServedDegraded);
-
-    // Per-request opt-out beats the global budget.
-    auto optOut = makeRequest(accel::Scheme::Smart, net, 1);
-    optOut.maxQualityMs = -1.0;
-    auto full = svc.submit(optOut);
-    EXPECT_EQ(full.admission, serve::Admission::Admitted);
-
-    // Tenant opt-out beats the global budget for its tag.
-    auto tagged = makeRequest(accel::Scheme::Smart, net, 1);
-    tagged.tag = "batch";
-    auto tenant = svc.submit(tagged);
-    EXPECT_EQ(tenant.admission, serve::Admission::Admitted);
-
-    auto a = degraded.response.get();
-    auto b = full.response.get();
-    auto c = tenant.response.get();
-    EXPECT_TRUE(a.degraded);
-    EXPECT_FALSE(b.degraded);
-    EXPECT_FALSE(c.degraded);
-    // Full-quality requests never see a degraded result.
-    EXPECT_FALSE(b.cacheHit && b.quality == compiler::Quality::CacheHit &&
-                 b.result.schedQuality == compiler::Quality::Greedy);
-}
-
 TEST(EvalServiceDegrade, CachedOptimalResultServesDegradeMarkedRequest)
 {
     setInformEnabled(false);
     auto net = cnn::convLayersOnly(cnn::makeAlexNet());
     const std::string path = cachePath("optimal_for_degraded");
 
-    serve::ServiceConfig cfg;
-    cfg.degradePolicy = serve::DegradePolicy::Auto;
+    serve::ServiceConfig cfg = rescueConfig();
     cfg.diskCachePath = path;
     serve::EvalService svc(cfg);
 
-    // Populate the optimal store entry first (explicit opt-out so the warm
-    // estimator cannot degrade it).
-    auto seed = makeRequest(accel::Scheme::Smart, net, 1);
-    seed.maxQualityMs = -1.0;
-    auto seeded = svc.submit(seed);
+    // Populate the optimal store entry first, while the estimator is
+    // cold: nothing is hopeless yet, so it is served at full quality.
+    auto seeded = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
     ASSERT_EQ(seeded.admission, serve::Admission::Admitted);
     auto optimal = seeded.response.get();
     ASSERT_EQ(optimal.status, serve::ResponseStatus::Ok);
     EXPECT_FALSE(optimal.degraded);
 
-    // A degrade-marked twin takes the already-stored optimal result:
-    // better quality at the same (store-hit) cost, and honestly NOT
-    // counted as degraded — no greedy schedule was ever served.
-    auto tight = makeRequest(accel::Scheme::Smart, net, 1);
-    tight.maxQualityMs = 1e-6; // any real estimate exceeds this
-    auto sub = svc.submit(tight);
+    // Once the ILP path is known to be hopeless, a twin is rescued
+    // (degrade-marked) at submit, and takes the already-stored optimal
+    // result: better quality at the same (store-hit) cost, and
+    // honestly NOT counted as degraded — no greedy schedule was ever
+    // served. (The seed's real sample and the 60 s one fold into an
+    // EWMA still far over the 2 s target.)
+    teachIlpHopeless(svc, net, {1});
+    auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
     ASSERT_EQ(sub.admission, serve::Admission::ServedDegraded);
     auto resp = sub.response.get();
     ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
@@ -280,89 +287,7 @@ TEST(EvalServiceDegrade, CachedOptimalResultServesDegradeMarkedRequest)
 }
 
 // ------------------------------------------------------------------
-// Block policy: the post-wait re-judge (satellite c)
-// ------------------------------------------------------------------
-
-TEST(EvalServiceDegrade, BlockedRequestPastQualityBudgetJoinsGreedyPath)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-    const std::string shape = accel::requestShapeKey(net, 1);
-
-    serve::ServiceConfig cfg;
-    cfg.degradePolicy = serve::DegradePolicy::Auto;
-    cfg.maxQualityMs = 1e-6; // any tracked estimate exceeds this
-    cfg.queue.maxDepth = 1;
-    cfg.queue.policy = serve::AdmissionPolicy::Block;
-    cfg.linger = std::chrono::milliseconds(400); // pins the filler
-    serve::EvalService svc(cfg);
-
-    // Fill the queue while the estimator is cold: the filler is NOT
-    // degraded (predicted 0 <= budget) and lingers in the queue.
-    auto filler = svc.submit(makeRequest(accel::Scheme::Smart, net, 4));
-    ASSERT_EQ(filler.admission, serve::Admission::Admitted);
-
-    // While the next submit blocks on the full queue, the estimates
-    // move: by the time a slot frees, the shape is known to blow the
-    // quality budget, and the re-judge must route the blocked request
-    // onto the greedy path instead of admitting it at full quality.
-    std::thread mover([&svc, &shape]() {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        svc.costEstimator().recordService(shape, 50.0);
-    });
-    auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
-    mover.join();
-    ASSERT_EQ(sub.admission, serve::Admission::ServedDegraded);
-    auto resp = sub.response.get();
-    ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-    EXPECT_TRUE(resp.degraded);
-    EXPECT_EQ(resp.quality, compiler::Quality::Greedy);
-    EXPECT_EQ(filler.response.get().status, serve::ResponseStatus::Ok);
-}
-
-TEST(EvalServiceDegrade, BlockedDegradedRequestIsNeverDoubleDegraded)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
-    const std::string shape1 = accel::requestShapeKey(net, 1);
-    const std::string shape4 = accel::requestShapeKey(net, 4);
-
-    serve::ServiceConfig cfg;
-    cfg.degradePolicy = serve::DegradePolicy::Auto;
-    cfg.sloP95Ms = 5000.0;
-    cfg.queue.maxDepth = 1;
-    cfg.queue.policy = serve::AdmissionPolicy::Block;
-    cfg.linger = std::chrono::milliseconds(400);
-    serve::EvalService svc(cfg);
-    // The ILP path blows the SLO; the filler's shape stays cheap so
-    // only the probe request is rescued onto the greedy path.
-    svc.costEstimator().recordService(shape1, 100e3);
-    svc.costEstimator().recordService(shape4, 1.0);
-    svc.costEstimator().recordWave(1.0, 100); // near-zero wait term
-
-    auto filler = svc.submit(makeRequest(accel::Scheme::Smart, net, 4));
-    ASSERT_EQ(filler.admission, serve::Admission::Admitted);
-
-    // The probe is degrade-marked at submit (ILP hopeless, greedy
-    // viable), then blocks. While it sleeps, the greedy path turns
-    // hopeless too. The re-judge must REJECT it — a request already
-    // on the greedy path has no further level to degrade to.
-    std::thread mover([&svc, &shape1]() {
-        std::this_thread::sleep_for(std::chrono::milliseconds(100));
-        svc.costEstimator().recordService(shape1 + "|greedy", 100e3);
-    });
-    auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
-    mover.join();
-    EXPECT_EQ(sub.admission, serve::Admission::RejectedHopeless);
-    EXPECT_FALSE(sub.response.valid());
-    EXPECT_EQ(filler.response.get().status, serve::ResponseStatus::Ok);
-    const auto m = svc.metrics();
-    EXPECT_EQ(m.servedDegraded, 0u);
-    EXPECT_GE(m.rejectedHopeless, 1u);
-}
-
-// ------------------------------------------------------------------
-// Suggested-deadline resubmits (satellite c)
+// Suggested-deadline resubmits
 // ------------------------------------------------------------------
 
 TEST(EvalServiceDegrade, SuggestedDeadlineResubmitIsNotDegraded)
@@ -534,9 +459,10 @@ TEST(EvalServiceDegrade, TraceReplayTalliesServedDegraded)
         trace.push_back(std::move(tr));
     }
 
-    serve::ServiceConfig cfg;
-    cfg.degradePolicy = serve::DegradePolicy::Force;
-    serve::EvalService svc(cfg);
+    // Every point's ILP path is hopeless, so Auto rescues the whole
+    // trace onto the greedy path.
+    serve::EvalService svc(rescueConfig());
+    teachIlpHopeless(svc, net, {1, 2});
     const auto rep = serve::replayTrace(svc, trace, 0.0);
     EXPECT_TRUE(rep.consistent());
     EXPECT_EQ(rep.completed, trace.size());
