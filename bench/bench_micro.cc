@@ -179,11 +179,12 @@ ilpBnbBatch()
 struct IlpGridWork
 {
     double pivots = 0.0;
+    double nodes = 0.0;     //!< Branch-and-bound nodes.
     double lpReplays = 0.0; //!< Node LPs re-run with stall tracking.
 };
 
 /**
- * Total simplex pivots and LP replays of the ILP schedules of the
+ * Total simplex pivots, B&B nodes and LP replays of the ILP schedules of the
  * distinct SMART layers in the single-image figure grid (the solves
  * one cold grid pass puts in the schedule memo): host-independent
  * work counters for the ILP core.
@@ -212,6 +213,7 @@ ilpGridWork()
     IlpGridWork work;
     for (const compiler::Schedule &s : scheds) {
         work.pivots += s.simplexIters;
+        work.nodes += s.bnbNodes;
         work.lpReplays += s.lpReplays;
     }
     return work;
@@ -319,6 +321,7 @@ jsonMain(int argc, char **argv)
     metrics.push_back({"ilp_bnb_batch_pivots", ilpBatch.pivots});
     const IlpGridWork gridWork = ilpGridWork();
     metrics.push_back({"ilp_grid_pivots", gridWork.pivots});
+    metrics.push_back({"ilp_grid_nodes", gridWork.nodes});
     metrics.push_back({"ilp_grid_lp_replays", gridWork.lpReplays});
 
     // Serving layer: full-speed replays of the synthetic bursty trace

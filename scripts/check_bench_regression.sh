@@ -36,9 +36,10 @@
 #    not depend on machine speed, so they are judged even when the
 #    host stamps differ.
 #  - Counts: deterministic work counters (the knapsack ILP batch's
-#    B&B nodes and simplex pivots, the simplex pivots and LP replays
-#    (node LPs re-run with the simplex stall objective tracked,
-#    expected 0) of the single-image figure grid's ILP schedules, the
+#    B&B nodes and simplex pivots, the simplex pivots, B&B nodes and
+#    LP replays (node LPs re-run with the simplex stall objective
+#    tracked, expected 0) of the single-image figure grid's ILP
+#    schedules, the
 #    schedule-memo entries one cold single-image figure grid leaves
 #    behind — a rise there means a memo-key change split layers that
 #    share a schedule — and the layer schedules each warm serve replay
@@ -79,8 +80,8 @@ serve_degrade_wall_ms serve_traced_untraced_ms serve_traced_replay_ms \
 figure_grid_single_ms figure_grid_batch_ms"
 RATIO_METRICS="serve_tslo_resubmit_ok_rate serve_degrade_rate"
 COUNT_METRICS="ilp_bnb_batch_nodes ilp_bnb_batch_pivots ilp_grid_pivots \
-ilp_grid_lp_replays figure_grid_memo_entries serve_replay_warm_schedules \
-serve_mt_replay_warm_schedules"
+ilp_grid_nodes ilp_grid_lp_replays figure_grid_memo_entries \
+serve_replay_warm_schedules serve_mt_replay_warm_schedules"
 MIN_DELTA_MS=2
 MAX_RATIO_DROP=0.10
 # Tracer-overhead budget: the traced uncached replay may cost at

@@ -2,6 +2,7 @@
 
 #include "common/taskgraph.hh"
 #include "common/tracespan.hh"
+#include "ilp/solver.hh"
 
 namespace smart::accel
 {
@@ -26,6 +27,9 @@ runBatch(const std::vector<BatchItem> &items, const BatchItemHook &onItem)
         if (onItem)
             onItem(i, results[i]);
     });
+    // A batch of memo hits alone leaves this thread's LP workspace
+    // idle: free it then, not while batches keep solving.
+    ilp::trimThreadWorkspace();
     return results;
 }
 

@@ -63,14 +63,14 @@ greedyFallback(const LayerDag &dag, const SchedParams &params,
 
 } // namespace
 
-Schedule
-scheduleIlp(const LayerDag &dag, const SchedParams &params)
+LayerIlp
+buildLayerIlp(const LayerDag &dag, const SchedParams &params)
 {
     using ilp::LinExpr;
     using ilp::Sense;
-    using ilp::Var;
 
-    ilp::Model model;
+    LayerIlp layer;
+    ilp::Model &model = layer.model;
     std::vector<ObjVars> vars(dag.objects.size());
 
     const bool prefetch_on = params.prefetchIterations > 1;
@@ -213,13 +213,19 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
     }
     model.setObjective(obj, true);
 
-    ilp::SolverOptions opts;
-    opts.maxBnbNodes = 200;
+    layer.opts.maxBnbNodes = 200;
     // A 0.5 % optimality gap is far below the model's fidelity and
     // keeps per-layer scheduling in the milliseconds.
-    opts.gapTol = 5e-3;
-    // The solve itself is the stage worth timing (model build above
-    // is linear); the span lands on whichever request's evaluation
+    layer.opts.gapTol = 5e-3;
+    return layer;
+}
+
+Schedule
+scheduleIlp(const LayerDag &dag, const SchedParams &params)
+{
+    const LayerIlp layer = buildLayerIlp(dag, params);
+    // The solve itself is the stage worth timing (the model build is
+    // linear); the span lands on whichever request's evaluation
     // reached this layer (ambient trace id, 0 = untraced no-op).
     const std::uint64_t traceId = TraceRecorder::currentTrace();
     auto &trace = TraceRecorder::global();
@@ -227,7 +233,7 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
     try {
         ScopedSpan solveSpan(traceId, "ilp_solve");
         FaultInjector::global().onIlpSolve();
-        sol = ilp::solve(model, opts);
+        sol = ilp::solve(layer.model, layer.opts);
         solveSpan.setArg(static_cast<std::int64_t>(sol.bnbNodes),
                          "bnb_nodes");
     } catch (const std::exception &e) {
@@ -247,12 +253,12 @@ scheduleIlp(const LayerDag &dag, const SchedParams &params)
     Schedule sched;
     sched.decisions.resize(dag.objects.size());
     for (std::size_t i = 0; i < dag.objects.size(); ++i) {
-        const bool h = sol.value(vars[i].h) > 0.5;
-        const bool r = sol.value(vars[i].r) > 0.5;
+        const bool h = sol.values[4 * i] > 0.5;
+        const bool r = sol.values[4 * i + 1] > 0.5;
         sched.decisions[i].placement =
             h ? Placement::Shift
               : (r ? Placement::Random : Placement::Dram);
-        sched.decisions[i].prefetched = sol.value(vars[i].p) > 0.5;
+        sched.decisions[i].prefetched = sol.values[4 * i + 2] > 0.5;
     }
     sched.objective = sol.objective;
     sched.quality = Quality::Optimal;

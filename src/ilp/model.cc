@@ -104,6 +104,15 @@ Model::setObjective(const LinExpr &expr, bool maximize)
     maximize_ = maximize;
 }
 
+double
+Model::objectiveAt(const std::vector<double> &values) const
+{
+    double obj = 0.0;
+    for (const auto &[id, c] : objective_.terms())
+        obj += c * values[id];
+    return obj;
+}
+
 void
 Model::setBounds(int id, double lb, double ub)
 {

@@ -98,8 +98,6 @@ class Model
 
     /** Number of variables. */
     int numVars() const { return static_cast<int>(lb_.size()); }
-    /** Number of constraints. */
-    int numConstrs() const { return static_cast<int>(constrs_.size()); }
 
     /** Lower bound of a variable. */
     double lb(int id) const { return lb_[id]; }
@@ -119,6 +117,8 @@ class Model
     const LinExpr &objective() const { return objective_; }
     /** True if the objective is maximized. */
     bool maximize() const { return maximize_; }
+    /** Objective value at @p values, indexed by variable id. */
+    double objectiveAt(const std::vector<double> &values) const;
 
     /** Set a variable's bounds. */
     void setBounds(int id, double lb, double ub);

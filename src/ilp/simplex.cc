@@ -56,8 +56,6 @@ class Tableau
 
     /** Structural variable values (unshifted). */
     std::vector<double> extractValues() const;
-    /** Objective value at the current basis. */
-    double objectiveValue(const std::vector<double> &values) const;
     /** Total pivots performed. */
     int iters() const { return iters_; }
     /** An untracked phase reached the Bland threshold. */
@@ -66,36 +64,37 @@ class Tableau
   private:
     /** Write the initial tableau; no cell is listed yet. */
     void load();
-    /** List cell (i, j), zeroed, unless this solve already did. */
-    void list(int i, int j)
+    /** List cell (i, j), which this solve has not listed, as @p v. */
+    void list(int i, int j, double v)
     {
-        unsigned char &mark =
-            ws_.listed[static_cast<std::size_t>(i) * cols_ + j];
-        if (mark != ws_.epoch) {
-            ws_.rowNz[i].push_back(j);
-            ws_.colNz[j].push_back(i);
-            row(i)[j] = 0.0;
-            mark = ws_.epoch;
-        }
-    }
-    void set(int i, int j, double v)
-    {
-        list(i, j);
+        ws_.rowNz[i].push_back(j);
+        ws_.colNz[j].push_back(i);
         row(i)[j] = v;
+        ws_.listed[static_cast<std::size_t>(i) * cols_ + j] = ws_.epoch;
     }
     bool pivotLoop(const std::vector<double> &cost, bool phase1);
     void pivot(int row, int col);
     /**
-     * Recompute the reduced costs for @p cost, the nonzero-cost row
-     * bitset and the pricing tree over columns [0, scan_end).
+     * Recompute the reduced costs for @p cost and the candidate list
+     * over columns [0, scan_end).
      */
     void computeReducedRow(const std::vector<double> &cost, int scan_end);
-    /** Replay tree match @p k: the left winner holds ties. */
-    void match(int k)
+    /** List column @p j as a candidate iff its reduced cost is > eps. */
+    void refile(int j)
     {
-        int *t = ws_.tree.data();
-        t[k] = ws_.red[t[2 * k + 1]] > ws_.red[t[2 * k]] ? t[2 * k + 1]
-                                                          : t[2 * k];
+        int &pos = ws_.candPos[j];
+        if (ws_.red[j] > opts_.eps) {
+            if (pos < 0) {
+                pos = static_cast<int>(ws_.cand.size());
+                ws_.cand.push_back(j);
+            }
+        } else if (pos >= 0) {
+            const int last = ws_.cand.back();
+            ws_.cand[pos] = last;
+            ws_.candPos[last] = pos;
+            ws_.cand.pop_back();
+            pos = -1;
+        }
     }
 
     double *row(int i) { return ws_.a.data() + i * cols_; }
@@ -111,7 +110,6 @@ class Tableau
     int m_ = 0;           //!< Tableau rows.
     int cols_ = 0;        //!< Total tableau columns (without rhs).
     int first_artificial_ = 0;
-    int leaves_ = 1;      //!< Pricing-tree leaves (a power of two).
     int iters_ = 0;
     bool unbounded_ = false;
     bool track_stall_;
@@ -218,23 +216,23 @@ Tableau::load()
         } else {
             while (!std::isfinite(ub_[ub_col]))
                 ++ub_col;
-            set(i, ub_col++, flip ? -1.0 : 1.0);
+            list(i, ub_col++, flip ? -1.0 : 1.0);
         }
         ws_.rhs[i] = flip ? -ws_.rowRhs[i] : ws_.rowRhs[i];
         if (flip && sense != Sense::Eq)
             sense = sense == Sense::Le ? Sense::Ge : Sense::Le;
         switch (sense) {
           case Sense::Le:
-            set(i, slack_col, 1.0);
+            list(i, slack_col, 1.0);
             ws_.basis[i] = slack_col++;
             break;
           case Sense::Ge:
-            set(i, slack_col++, -1.0);
-            set(i, art_col, 1.0);
+            list(i, slack_col++, -1.0);
+            list(i, art_col, 1.0);
             ws_.basis[i] = art_col++;
             break;
           case Sense::Eq:
-            set(i, art_col, 1.0);
+            list(i, art_col, 1.0);
             ws_.basis[i] = art_col++;
             break;
         }
@@ -245,30 +243,20 @@ void
 Tableau::computeReducedRow(const std::vector<double> &cost, int scan_end)
 {
     ws_.red.assign(cost.begin(), cost.begin() + cols_);
-    ws_.red.push_back(-kInf); // pads the tree's unused leaves
-    ws_.costRows.assign((m_ + 63) / 64, 0);
     double *red = ws_.red.data();
     for (int i = 0; i < m_; ++i) {
         const double cb = cost[ws_.basis[i]];
         if (cb == 0.0)
             continue;
-        ws_.costRows[i / 64] |= std::uint64_t{1} << (i % 64);
         const double *r = row(i);
         for (int j : ws_.rowNz[i])
             red[j] -= cb * r[j];
     }
 
-    // The root is the lowest index among the maxima, the column an
-    // ascending Dantzig scan picks. Unused leaves hold the -inf pad.
-    leaves_ = 1;
-    while (leaves_ < scan_end)
-        leaves_ *= 2;
-    ws_.tree.resize(2 * static_cast<std::size_t>(leaves_));
-    ws_.treeUp.resize(cols_);
-    for (int j = 0; j < leaves_; ++j)
-        ws_.tree[leaves_ + j] = j < scan_end ? j : cols_;
-    for (int k = leaves_ - 1; k >= 1; --k)
-        match(k);
+    ws_.cand.clear();
+    ws_.candPos.assign(cols_, -1);
+    for (int j = 0; j < scan_end; ++j)
+        refile(j);
 }
 
 void
@@ -290,8 +278,12 @@ Tableau::pivot(int prow_idx, int col)
         const double f = r[col];
         if (f == 0.0)
             continue;
+        const unsigned char *marks =
+            ws_.listed.data() + static_cast<std::size_t>(i) * cols_;
+        const unsigned char epoch = ws_.epoch;
         for (int j : pcols) {
-            list(i, j);
+            if (marks[j] != epoch)
+                list(i, j, 0.0);
             r[j] -= f * prow[j];
         }
         ws_.rhs[i] -= f * ws_.rhs[prow_idx];
@@ -315,11 +307,11 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
     const int scan_end = phase1 ? cols_ : first_artificial_;
     computeReducedRow(cost, scan_end);
     double *red = ws_.red.data();
-    std::uint64_t *cost_rows = ws_.costRows.data();
-    const int words = (m_ + 63) / 64;
 
     while (iters_ < opts_.maxIters) {
-        // Pricing: Dantzig (the tree root) unless stalling, then Bland.
+        // Pricing: Dantzig over the candidates unless stalling, then
+        // Bland. Dantzig takes the largest reduced cost, and among
+        // equals the lowest index, as an ascending scan would.
         int enter = -1;
         if (stall > bland_threshold) {
             if (!track_stall_) {
@@ -332,8 +324,14 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
                     break;
                 }
             }
-        } else if (red[ws_.tree[1]] > opts_.eps) {
-            enter = ws_.tree[1];
+        } else {
+            double best = -kInf;
+            for (int j : ws_.cand) {
+                if (red[j] > best || (red[j] == best && j < enter)) {
+                    best = red[j];
+                    enter = j;
+                }
+            }
         }
         if (enter < 0)
             return true; // optimal for this phase
@@ -365,35 +363,16 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
         ++iters_;
 
         // Update reduced costs against the normalized pivot row (it
-        // lists enter itself).
+        // lists enter itself), then re-file the columns that moved.
         const double re = red[enter];
         const double *prow = row(leave);
         const std::vector<int> &pcols = ws_.rowNz[leave];
         for (int j : pcols)
             red[j] -= re * prow[j];
         red[enter] = 0.0;
-
-        // Replay the tree above the moved leaves below scan_end, level
-        // by level: all leaves sit on one level, so their sorted node
-        // ids stay sorted as they halve, and each shared ancestor is
-        // matched once, after both of its children.
-        int *up = ws_.treeUp.data();
-        int n = 0;
         for (int j : pcols)
             if (j < scan_end)
-                up[n++] = leaves_ + j;
-        std::sort(up, up + n);
-        while (n > 0 && up[0] > 1) {
-            int w = 0;
-            for (int r = 0; r < n; ++r) {
-                const int parent = up[r] / 2;
-                if (w == 0 || up[w - 1] != parent) {
-                    match(parent);
-                    up[w++] = parent;
-                }
-            }
-            n = w;
-        }
+                refile(j);
 
         // Stall detection for the Bland fallback, summed in ascending
         // row order over the rows whose basic column has a cost.
@@ -402,17 +381,10 @@ Tableau::pivotLoop(const std::vector<double> &cost, bool phase1)
             ++stall;
             continue;
         }
-        const std::uint64_t bit = std::uint64_t{1} << (leave % 64);
-        cost_rows[leave / 64] = cost[enter] != 0.0
-                                    ? cost_rows[leave / 64] | bit
-                                    : cost_rows[leave / 64] & ~bit;
         double obj = 0.0;
-        for (int w = 0; w < words; ++w) {
-            for (std::uint64_t b = cost_rows[w]; b != 0; b &= b - 1) {
-                const int i = w * 64 + __builtin_ctzll(b);
+        for (int i = 0; i < m_; ++i)
+            if (cost[ws_.basis[i]] != 0.0)
                 obj += cost[ws_.basis[i]] * ws_.rhs[i];
-            }
-        }
         if (obj > last_obj + opts_.eps) {
             last_obj = obj;
             stall = 0;
@@ -475,22 +447,13 @@ Tableau::solve()
 std::vector<double>
 Tableau::extractValues() const
 {
-    std::vector<double> y(cols_, 0.0);
+    std::vector<double> x(n_, 0.0);
     for (int i = 0; i < m_; ++i)
-        y[ws_.basis[i]] = ws_.rhs[i];
-    std::vector<double> x(n_);
+        if (ws_.basis[i] < n_)
+            x[ws_.basis[i]] = ws_.rhs[i];
     for (int j = 0; j < n_; ++j)
-        x[j] = y[j] + lb_[j];
+        x[j] += lb_[j];
     return x;
-}
-
-double
-Tableau::objectiveValue(const std::vector<double> &values) const
-{
-    double obj = 0.0;
-    for (const auto &[id, c] : model_.objective().terms())
-        obj += c * values[id];
-    return obj;
 }
 
 } // namespace
@@ -555,7 +518,7 @@ solveLp(const Model &model, const LpRows &rows,
     sol.simplexIters = t->iters();
     if (sol.status == SolveStatus::Optimal) {
         sol.values = t->extractValues();
-        sol.objective = t->objectiveValue(sol.values);
+        sol.objective = model.objectiveAt(sol.values);
     }
     return sol;
 }

@@ -10,22 +10,23 @@
  * over them walks index lists: each row lists the columns of the cells
  * it has written and each column the rows, a superset of the nonzeros.
  * A pivot touches only the pivot row's listed columns and the entering
- * column's listed rows. Pricing reads the root of an argmax tree over
- * the reduced costs, replayed level by level above the pivot row's
- * leaves. A node copies each structural row and column list as one
- * block from rows merged once per model (LpRows). The stall objective
- * behind the Bland fallback is skipped: a phase that passes the Bland
- * threshold in pivots is cut off and the LP replayed with the stall
- * summed. The stall never exceeds the phase's pivots, so an LP that
- * stays under the threshold pivots exactly as a tracked one would.
+ * column's listed rows. Pricing scans a candidate list of the columns
+ * whose reduced cost is above eps; a pivot re-files only the pivot
+ * row's listed columns. A node copies each structural row and column
+ * list as one block from rows merged once per model (LpRows). The
+ * stall objective behind the Bland fallback is skipped: a phase that
+ * passes the Bland threshold in pivots is cut off and the LP replayed
+ * with the stall summed. The stall never exceeds the phase's pivots,
+ * so an LP that stays under the threshold pivots exactly as a tracked
+ * one would.
  *
  * Bit-identity contract: the pivot sequence and every floating-point
  * operation on a nonzero cell are exactly those of a dense sweep.
  * Unlisted cells are never read and stand for zeros; a cell is +0.0
  * when first listed, and a zero cell can only ever differ in the sign
  * of that zero, which no comparison observes. Skipped stall terms are
- * zero products, which leave a sum started at +0.0 as it is. The tree
- * keeps the lowest index among equal reduced costs, so its root is the
+ * zero products, which leave a sum started at +0.0 as it is. Pricing
+ * takes the lowest index among the largest listed reduced costs, the
  * column an ascending Dantzig scan picks. The Bland fallback scans in
  * ascending order, the ratio test walks the entering column's rows in
  * ascending order, and phase 1 drives artificials out with the lowest
@@ -35,7 +36,6 @@
 #ifndef SMART_ILP_SIMPLEX_HH
 #define SMART_ILP_SIMPLEX_HH
 
-#include <cstdint>
 #include <vector>
 
 #include "ilp/model.hh"
@@ -102,11 +102,14 @@ struct Solution
  * Reusable solve buffers. The branch-and-bound search solves thousands
  * of structurally identical LPs that differ only in variable bounds;
  * routing them through one workspace reuses every allocation (tableau,
- * index lists, rhs, basis, pricing tree and bitset) instead of
+ * index lists, rhs, basis and candidate list) instead of
  * reallocating per node. A workspace may be reused across models of
- * any size; it must not be shared between threads.
+ * any size; it must not be shared between threads. ilp::solve keeps
+ * one per thread for every solve that thread runs (see
+ * trimThreadWorkspace).
  *
- * Invariant: between solves, every index list is empty. `listed`
+ * Invariant: between solves, every row and column list is empty (the
+ * pricing buffers are rebuilt before they are read). `listed`
  * stamps each cell with the epoch of the solve that listed it, and a
  * cell is zeroed when first listed, so `a` is never cleared; the
  * stamps are, once every 255 solves, when the epoch wraps. A solve
@@ -126,10 +129,9 @@ struct LpWorkspace
     std::vector<int> basis;
     // Pricing, rebuilt at the start of each phase.
     std::vector<double> cost;
-    std::vector<double> red; //!< Reduced costs, then a -inf pad.
-    std::vector<int> tree;   //!< Argmax tournament over red.
-    std::vector<int> treeUp; //!< Tree nodes to replay, one level.
-    std::vector<std::uint64_t> costRows; //!< Rows with cost[basis] != 0.
+    std::vector<double> red;  //!< Reduced costs.
+    std::vector<int> cand;    //!< Priced columns with red > eps.
+    std::vector<int> candPos; //!< Index in cand, or -1.
 };
 
 /**

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <queue>
 #include <utility>
 #include <vector>
@@ -82,15 +83,6 @@ roundedFeasible(const Model &model, const std::vector<double> &lb,
     return true;
 }
 
-double
-objectiveOf(const Model &model, const std::vector<double> &values)
-{
-    double obj = 0.0;
-    for (const auto &[id, c] : model.objective().terms())
-        obj += c * values[id];
-    return obj;
-}
-
 /** One bound override relative to the root model. */
 struct BoundOverride
 {
@@ -126,7 +118,20 @@ struct NodeOrder
     }
 };
 
+/** This thread's node-LP buffers; empty while a solve holds them. */
+thread_local std::unique_ptr<LpWorkspace> idleWs;
+/** A solve on this thread took its workspace since the last trim. */
+thread_local bool wsUsed = false;
+
 } // namespace
+
+void
+trimThreadWorkspace()
+{
+    if (!wsUsed)
+        idleWs.reset();
+    wsUsed = false;
+}
 
 /*
  * Two-phase search. Until the first incumbent exists, nodes follow
@@ -136,7 +141,7 @@ struct NodeOrder
  * in best-bound order, so the search proves optimality (or closes the
  * gap) with the fewest LP solves, and the heap top doubles as a global
  * bound: when it cannot beat the incumbent, the search is done. All
- * node LPs run through one reusable workspace over rows assembled once;
+ * node LPs run through the thread's workspace over rows assembled once;
  * each node stores only its bound overrides vs the root model, applied
  * to the bound vectors and rolled back incrementally.
  */
@@ -156,7 +161,12 @@ solve(const Model &model, const SolverOptions &opts)
     const LpRows rows(model);
     std::vector<double> lb = model.lowerBounds();
     std::vector<double> ub = model.upperBounds();
-    LpWorkspace ws; // reused across every node's LP solve
+    // Take the thread's workspace. A solve nested in another on one
+    // thread (none is today) finds it taken and starts its own.
+    std::unique_ptr<LpWorkspace> ws = std::move(idleWs);
+    if (!ws)
+        ws = std::make_unique<LpWorkspace>();
+    wsUsed = true;
 
     Solution best;
     best.status = SolveStatus::Infeasible;
@@ -219,7 +229,7 @@ solve(const Model &model, const SolverOptions &opts)
             ub[b.var] = b.ub;
         }
 
-        Solution relax = solveLp(model, rows, lb, ub, opts, ws);
+        Solution relax = solveLp(model, rows, lb, ub, opts, *ws);
         total_iters += relax.simplexIters;
         total_replays += relax.lpReplays;
         if (!have_root_bound && relax.status == SolveStatus::Optimal) {
@@ -246,7 +256,7 @@ solve(const Model &model, const SolverOptions &opts)
                 // Incumbent heuristic: rounded LP solution.
                 std::vector<double> rounded = relax.values;
                 if (roundedFeasible(model, lb, ub, rounded, 1e-6)) {
-                    const double obj = objectiveOf(model, rounded);
+                    const double obj = model.objectiveAt(rounded);
                     if (!have_incumbent ||
                         dir * obj > dir * best.objective) {
                         best.status = SolveStatus::Optimal;
@@ -286,6 +296,7 @@ solve(const Model &model, const SolverOptions &opts)
         }
     }
 
+    idleWs = std::move(ws);
     best.bnbNodes = nodes;
     best.simplexIters = total_iters;
     best.lpReplays = total_replays;

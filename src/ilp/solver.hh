@@ -19,6 +19,14 @@ namespace smart::ilp
  */
 Solution solve(const Model &model, const SolverOptions &opts = {});
 
+/**
+ * Free the calling thread's LP workspace, which every solve on the
+ * thread reuses, unless a solve has taken it since the previous call.
+ * Called once per batch, this keeps the buffers while batches solve
+ * and frees them after the first batch that needs none.
+ */
+void trimThreadWorkspace();
+
 } // namespace smart::ilp
 
 #endif // SMART_ILP_SOLVER_HH

@@ -108,6 +108,15 @@ CostEstimator::estimateInterval(const std::string &shapeKey) const
     return intervalOf(service_);
 }
 
+std::pair<double, double>
+CostEstimator::shapeInterval(const std::string &shapeKey) const
+{
+    LockGuard lock(mu_);
+    auto it = shapeMs_.find(shapeKey);
+    return it != shapeMs_.end() ? intervalOf(it->second)
+                                : std::pair<double, double>{0.0, 0.0};
+}
+
 double
 CostEstimator::estimateQueueWaitMs(std::size_t queueDepth) const
 {

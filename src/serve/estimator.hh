@@ -133,6 +133,14 @@ class CostEstimator
     std::pair<double, double>
     estimateInterval(const std::string &shapeKey = std::string()) const;
 
+    /**
+     * The shape's own interval alone, {0, 0} while it has under two
+     * samples — no global fallback, for the same reason as
+     * shapeEstimateMs: the global spread is the ILP path's.
+     */
+    std::pair<double, double>
+    shapeInterval(const std::string &shapeKey) const;
+
     /** Point-in-time copy of the EWMAs (metrics export). */
     struct Snapshot
     {

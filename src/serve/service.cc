@@ -207,12 +207,13 @@ EvalService::sloFor(const std::string &tag) const
 }
 
 double
-EvalService::tightenedFactor(const std::string &shapeKey,
-                             double factor) const
+EvalService::tightenedFactor(const std::string &shapeKey, double factor,
+                             bool greedy) const
 {
     if (factor <= 0.0)
         return factor;
-    const auto [lo, hi] = estimator_.estimateInterval(shapeKey);
+    const auto [lo, hi] = greedy ? estimator_.shapeInterval(shapeKey)
+                                 : estimator_.estimateInterval(shapeKey);
     const double halfWidth = (hi - lo) / 2.0;
     const double meanMs = estimator_.estimateServiceMs(shapeKey);
     if (halfWidth <= 0.0 || meanMs <= 0.0)
@@ -232,12 +233,13 @@ EvalService::hopeless(const std::string &shapeKey, double deadlineMs,
     const bool hasDeadline = deadlineMs > 0.0;
     if (!hasDeadline && slo.p95Ms <= 0.0)
         return false; // no budget to miss
-    // Each path is confidence-tightened against its own key's interval
-    // (the global one until that key has two samples).
+    // Each path is confidence-tightened against its own key's interval.
+    // Until that key has two samples, the ILP path uses the global
+    // interval and the greedy twin is not tightened.
     const std::string greedyKey =
         greedy ? shapeKey + "|greedy" : std::string();
     const std::string &pathKey = greedy ? greedyKey : shapeKey;
-    const double factor = tightenedFactor(pathKey, slo.factor);
+    const double factor = tightenedFactor(pathKey, slo.factor, greedy);
     const double waitMs = estimator_.estimateQueueWaitMs(queueDepth);
     if (hasDeadline && waitMs > factor * deadlineMs)
         return true; // queue deadlines bound waiting, not service

@@ -324,9 +324,11 @@ class EvalService
      * by up to half, so admission under an unreliable estimate buys
      * extra headroom instead of trusting the mean. A tight interval
      * (or a cold/constant-latency estimator) leaves @p factor as is.
+     * A @p greedy twin key is judged by its own interval only
+     * (CostEstimator::shapeInterval).
      */
-    double tightenedFactor(const std::string &shapeKey,
-                           double factor) const;
+    double tightenedFactor(const std::string &shapeKey, double factor,
+                           bool greedy) const;
 
     ServiceConfig cfg_;
     RequestQueue queue_;

@@ -8,9 +8,9 @@
 # so; comparable lines must pass when flat, fail on a wall-time
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
-# counts (solver work, figure-grid ILP pivots, LP replays, memo
-# entries and the layer schedules a warm serve replay adds) fail on
-# any rise, on any host.
+# counts (solver work, figure-grid ILP pivots, B&B nodes and LP
+# replays, memo entries and the layer schedules a warm serve replay
+# adds) fail on any rise, on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -154,6 +154,24 @@ check "flat grid pivot count passes" 0 "$tmp/gridflat.jsonl" 25
 } > "$tmp/gridup.jsonl"
 check "rising grid pivot count fails across hosts" 1 \
       "$tmp/gridup.jsonl" 25
+
+gridnodes() {
+    # History line for host "$1" with figure-grid B&B nodes "$2".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"ilp_grid_nodes": %s}}}\n' \
+        "$1" "$2"
+}
+{
+    gridnodes hostA 6381
+    gridnodes hostA 6381
+} > "$tmp/nodesflat.jsonl"
+check "flat grid node count passes" 0 "$tmp/nodesflat.jsonl" 25
+
+{
+    gridnodes hostA 6381
+    gridnodes hostB 6382
+} > "$tmp/nodesup.jsonl"
+check "rising grid node count fails across hosts" 1 \
+      "$tmp/nodesup.jsonl" 25
 
 gridreplays() {
     # History line for host "$1" with figure-grid LP replays "$2".

@@ -347,6 +347,27 @@ TEST(Simplex, ReducedCostTiesEnterLowestIndex)
     expectPinned(solveLp(m), 3, 27.0, {2, 4, 0, 0, 0, 1});
 }
 
+TEST(Simplex, ReducedCostTiesEnterLowestIndexInAnyListOrder)
+{
+    // Pricing scans a candidate list that a removal reorders: x0
+    // enters first and leaves the list, and the last candidate, x3,
+    // takes its slot ahead of x1. x1 and x3 then tie at 5 for the
+    // shared row, and x1, the lower index, must enter although x3 is
+    // listed first. Entering x3 reaches x3 = 4 at the same objective.
+    const double inf = std::numeric_limits<double>::infinity();
+    Model m;
+    std::vector<Var> x;
+    for (int j = 0; j < 4; ++j)
+        x.push_back(m.addVar(0, inf, VarType::Continuous));
+    m.addConstr(LinExpr(x[0]), Sense::Le, 2);
+    m.addConstr(LinExpr().add(x[1], 1).add(x[3], 1), Sense::Le, 4);
+    m.addConstr(LinExpr(x[2]), Sense::Le, 1);
+    m.setObjective(
+        LinExpr().add(x[0], 10).add(x[1], 5).add(x[2], 1).add(x[3], 5),
+        true);
+    expectPinned(solveLp(m), 3, 41.0, {2, 4, 1, 0});
+}
+
 TEST(Simplex, RatioTestNearTiesFollowRowOrder)
 {
     // The rhs values sit within the pivot tolerance of one another, so
@@ -466,8 +487,7 @@ TEST(Simplex, ReusedWorkspaceMatchesFreshSolves)
     // One workspace through a large model, a smaller one, an
     // infeasible one (early return after phase 1), an iteration-
     // limited one, the large model again, then back and forth across
-    // a 64-row word of the cost-row bitset and a power-of-two size of
-    // the pricing tree, then 300 solves of mixed shapes, so the
+    // 64 rows and 128 columns, then 300 solves of mixed shapes, so the
     // one-byte cell epoch wraps: each solve must match a fresh-
     // workspace solve bit for bit and leave every index list empty.
     const Model large = randomLp(60, 45, 7);

@@ -207,6 +207,32 @@ TEST(EvalServiceDegrade, AutoRejectsWhenGreedyTwinIsAlsoHopeless)
     EXPECT_EQ(m.servedDegraded, 0u);
 }
 
+TEST(EvalServiceDegrade, GreedyTwinIsTightenedByItsOwnIntervalOnly)
+{
+    setInformEnabled(false);
+    auto net = cnn::convLayersOnly(cnn::makeMobileNet());
+    net.layers.resize(2);
+    const std::string shape = accel::requestShapeKey(net, 1);
+
+    serve::ServiceConfig cfg;
+    cfg.sloP95Ms = 8.0;
+    cfg.degradePolicy = serve::DegradePolicy::Auto;
+    serve::EvalService svc(cfg);
+    // One 60 s ILP sample and one 5 ms greedy sample: the global
+    // interval spans both, but the twin has no spread of its own, so
+    // its factor stays 1 and 5 ms fits the 8 ms target. Judged by the
+    // global interval, the factor would halve and 5 > 4 would reject.
+    svc.costEstimator().recordService(shape, 60e3);
+    svc.costEstimator().recordService(shape + "|greedy", 5.0);
+    svc.costEstimator().recordWave(1.0, 100); // near-zero wait term
+
+    auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
+    ASSERT_EQ(sub.admission, serve::Admission::ServedDegraded);
+    const auto resp = sub.response.get();
+    EXPECT_EQ(resp.status, serve::ResponseStatus::Ok);
+    EXPECT_TRUE(resp.degraded);
+}
+
 // ------------------------------------------------------------------
 // The degraded determinism contract
 // ------------------------------------------------------------------
