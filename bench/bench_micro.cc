@@ -349,6 +349,30 @@ jsonMain(int argc, char **argv)
     const auto sm = svc.metrics();
     metrics.push_back({"serve_latency_p99_ms", sm.latencyP99Ms});
 
+    // Memo-hit dispatch cost in scheduler tasks: 64 sequential submits
+    // of one warm request (a SMART one when the trace has it, so every
+    // layer takes the memo path). Each forms a one-group wave that the
+    // dispatcher serves inline, and every layer's schedule is a memo
+    // hit, so nothing fans out: serve_memo_hit_tasks is the
+    // TaskScheduler tasksRun delta, 0 at any SMART_THREADS (count-gated
+    // by check_bench_regression.sh).
+    {
+        serve::EvalRequest hitReq = trace.front().req;
+        for (const auto &t : trace)
+            if (t.req.cfg.scheme == accel::Scheme::Smart) {
+                hitReq = t.req;
+                break;
+            }
+        const std::uint64_t tasksBefore =
+            TaskScheduler::global().stats().tasksRun;
+        for (int i = 0; i < 64; ++i)
+            svc.submit(hitReq).response.get();
+        metrics.push_back(
+            {"serve_memo_hit_tasks",
+             static_cast<double>(TaskScheduler::global().stats().tasksRun -
+                                 tasksBefore)});
+    }
+
     // Adversarial serving: a two-tenant bursty trace (one tenant takes
     // ~85% of the traffic) against a service with a p95 SLO driving
     // the wave sizing. The p95-vs-SLO pair and the warm pass's new
@@ -723,7 +747,11 @@ jsonMain(int argc, char **argv)
     // no result-visible difference by contract, and the memo caches
     // are left exactly as the degrade scenario leaves them (cleared).
     {
-        const int tracedLoops = 3;
+        // 21 interleaved pairs of ~20 ms replays: on a shared 4-core
+        // host single loops swing by 20-40%, and the medians of 7
+        // pairs still crossed the 5% / 2 ms gate in 2 of 6 runs; with
+        // 21 pairs six runs stayed within 2.3%.
+        const int tracedLoops = 21;
 
         serve::ServiceConfig ucfg;
         ucfg.queue.maxDepth = 256;
@@ -744,17 +772,17 @@ jsonMain(int argc, char **argv)
         // replay cannot fake a 5% overhead (or mask one).
         std::vector<double> uLoopMs, tLoopMs;
         std::vector<double> e2eMs;
-        for (int i = 0; i < tracedLoops; ++i) {
+        for (int i = 0; i < 2 * tracedLoops; ++i) {
+            // Pairs alternate which side runs first, so a drift inside
+            // a pair does not always land on the same side.
+            const bool traced = (i % 2 == 1) != (i / 2 % 2 == 1);
             accel::clearIlpCache();
             timer.reset();
-            serve::replayTrace(usvc, trace, /*timeScale=*/0.0);
-            uLoopMs.push_back(timer.ms());
-
-            accel::clearIlpCache();
-            timer.reset();
-            const auto rep =
-                serve::replayTrace(tracedSvc, trace, /*timeScale=*/0.0);
-            tLoopMs.push_back(timer.ms());
+            const auto rep = serve::replayTrace(
+                traced ? tracedSvc : usvc, trace, /*timeScale=*/0.0);
+            (traced ? tLoopMs : uLoopMs).push_back(timer.ms());
+            if (!traced)
+                continue;
             // Only sampled requests have stage spans, so the e2e p95
             // they are judged against must come from the same
             // population.

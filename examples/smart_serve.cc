@@ -12,7 +12,12 @@
  * deadline, and the resubmission carrying that suggestion is
  * admitted. Prints admission/cache/latency metrics, the layer
  * schedules each pass computed into the schedule memo, plus the
- * per-tenant accounting and SLO standing. With --json [--out PATH]
+ * per-tenant accounting and SLO standing. The replays rarely fill the
+ * queue (memo-hit evaluations take microseconds), so a final overload
+ * pass drives admission on purpose: fresh layer shapes whose every
+ * ILP solve is stalled by the FaultInjector, against a small service,
+ * must draw per-tenant quota rejections, shedding and hopeless
+ * rejections. With --json [--out PATH]
  * the final metrics snapshot is also written in the
  * BENCH_micro.json-compatible schema (SERVE_metrics.json by
  * default).
@@ -29,28 +34,156 @@
  * pass scheduled a new layer although the cold pass completed every
  * (model, scheme) pair the warm pass served, if the per-tenant SLO
  * rows are missing from the snapshot, or if the suggested-deadline
- * handshake fails — so CI can run this binary as a correctness smoke
- * test, not just a demo.
+ * handshake fails, or if the overload pass misses one of its three
+ * admission paths or leaves a request unaccounted for — so CI can run
+ * this binary as a correctness smoke test, not just a demo.
  */
 
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <fstream>
+#include <future>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "accel/perf.hh"
+#include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "serve/trace.hh"
 
+namespace
+{
+
+using namespace smart;
+
+/** What the overload pass submitted and how each request ended. */
+struct OverloadTally
+{
+    std::size_t submitted = 0;
+    std::size_t admitted = 0;
+    std::size_t quota = 0;    //!< RejectedQuota.
+    std::size_t hopeless = 0; //!< RejectedHopeless.
+    std::size_t rejectedOther = 0;
+    std::size_t completed = 0;
+    std::size_t shed = 0;
+    std::size_t expired = 0;
+    std::size_t failed = 0;
+    serve::MetricsSnapshot metrics;
+
+    /** Every request in exactly one terminal bucket, both views. */
+    bool closes() const
+    {
+        const auto &m = metrics;
+        return submitted ==
+                   admitted + quota + hopeless + rejectedOther &&
+               admitted == completed + shed + expired + failed &&
+               m.submitted == m.admitted + m.rejected &&
+               m.admitted == m.completed + m.shed + m.expired + m.failed &&
+               m.submitted == submitted && m.shed == shed &&
+               m.rejectedHopeless == hopeless;
+    }
+};
+
+/**
+ * Overload pass: a service with an 8-deep shedding queue, a 6-request
+ * per-tenant quota and a 20 ms p95 SLO gets fresh one-layer SMART
+ * models, each of whose ILP solves the FaultInjector stalls by 30 ms.
+ * A cold burst (the estimator has no samples yet, so nothing is
+ * hopeless) overruns the hog's quota and then the queue, so a third
+ * tenant's arrivals shed the hog's newest entries. Once the burst has
+ * drained, the estimator has measured ~30 ms per request, above the
+ * SLO, so further arrivals on the idle queue are rejected as hopeless
+ * (four of them: the idle-queue probe admits only the 8th in a row).
+ * The previous fault configuration is restored afterwards.
+ */
+OverloadTally
+runOverload()
+{
+    const FaultInjector::Config saved = FaultInjector::global().config();
+    FaultInjector::Config stall = saved;
+    stall.ilpStallMs = 30.0;
+    FaultInjector::global().configure(stall);
+
+    serve::ServiceConfig cfg;
+    cfg.queue.maxDepth = 8;
+    cfg.queue.policy = serve::AdmissionPolicy::Shed;
+    cfg.queue.maxPerTenant = 6;
+    cfg.maxWave = 1;
+    cfg.linger = std::chrono::milliseconds(0);
+    cfg.sloP95Ms = 20.0;
+    cfg.sloAdmissionFactor = 1.0;
+    serve::EvalService svc(cfg);
+
+    OverloadTally t;
+    int fresh = 0;
+    std::vector<std::future<serve::EvalResponse>> admitted;
+    const auto submit = [&](const char *tag) {
+        serve::EvalRequest req;
+        req.cfg = accel::makeSmart();
+        const int side = 8 + fresh++; // a layer shape never seen before
+        req.model.name = "overload";
+        req.model.layers.push_back(
+            {"conv", side, side, 16, 16, 3, 3, 1, 1, false});
+        req.tag = tag;
+        auto sub = svc.submit(std::move(req));
+        ++t.submitted;
+        switch (sub.admission) {
+          case serve::Admission::Admitted:
+          case serve::Admission::ServedDegraded:
+            ++t.admitted;
+            admitted.push_back(std::move(sub.response));
+            break;
+          case serve::Admission::RejectedQuota:
+            ++t.quota;
+            break;
+          case serve::Admission::RejectedHopeless:
+            ++t.hopeless;
+            break;
+          default:
+            ++t.rejectedOther;
+        }
+    };
+    for (int i = 0; i < 10; ++i)
+        submit("hog");
+    for (int i = 0; i < 2; ++i)
+        submit("mouse");
+    for (int i = 0; i < 3; ++i)
+        submit("cat");
+    svc.drain();
+    for (int i = 0; i < 4; ++i)
+        submit("mouse");
+    svc.drain();
+    for (auto &f : admitted) {
+        try {
+            switch (f.get().status) {
+              case serve::ResponseStatus::Ok:
+                ++t.completed;
+                break;
+              case serve::ResponseStatus::Shed:
+                ++t.shed;
+                break;
+              case serve::ResponseStatus::Expired:
+                ++t.expired;
+                break;
+            }
+        } catch (const std::exception &) {
+            ++t.failed;
+        }
+    }
+    t.metrics = svc.metrics();
+    FaultInjector::global().configure(saved);
+    return t;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
-    using namespace smart;
-
     setInformEnabled(false);
     bool json = false;
     std::string out = "SERVE_metrics.json";
@@ -266,6 +399,22 @@ main(int argc, char **argv)
         std::cout << "wrote " << out << "\n";
     }
 
+    // Overload pass, last: it leaves stall-era schedules in the
+    // process-wide memo, and nothing after it reads the memo.
+    const OverloadTally ov = runOverload();
+    Table ot({"overload", "submitted", "completed", "quota", "shed",
+              "hopeless", "expired", "failed"});
+    ot.row()
+        .cell("stalled ILP")
+        .integer(static_cast<long long>(ov.submitted))
+        .integer(static_cast<long long>(ov.completed))
+        .integer(static_cast<long long>(ov.quota))
+        .integer(static_cast<long long>(ov.shed))
+        .integer(static_cast<long long>(ov.hopeless))
+        .integer(static_cast<long long>(ov.expired))
+        .integer(static_cast<long long>(ov.failed));
+    ot.print(std::cout);
+
     if (!cold.consistent() || !warm.consistent()) {
         std::cerr << "FAIL: replay accounting is inconsistent\n";
         return 1;
@@ -311,6 +460,17 @@ main(int argc, char **argv)
                      "L2 (disk cache) hits\n";
         return 1;
     }
+    if (!ov.closes()) {
+        std::cerr << "FAIL: overload pass accounting does not close\n";
+        return 1;
+    }
+    if (ov.quota == 0 || ov.shed == 0 || ov.hopeless == 0) {
+        std::cerr << "FAIL: overload pass missed an admission path "
+                     "(quota "
+                  << ov.quota << ", shed " << ov.shed << ", hopeless "
+                  << ov.hopeless << ")\n";
+        return 1;
+    }
     if (!suggestionDemoOk) {
         std::cerr << "FAIL: suggested-deadline handshake did not "
                      "complete (no rejection with a suggestion, or "
@@ -319,6 +479,7 @@ main(int argc, char **argv)
     }
     std::cout << "OK: all requests accounted for; warm pass scheduled "
                  "no new layers; SLO rows held; suggested deadline "
-                 "admitted on retry\n";
+                 "admitted on retry; overload drew quota, shed and "
+                 "hopeless rejections\n";
     return 0;
 }

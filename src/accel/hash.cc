@@ -1,5 +1,7 @@
 #include "accel/hash.hh"
 
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 
 namespace smart::accel
@@ -8,33 +10,45 @@ namespace smart::accel
 namespace
 {
 
-// The builders append with snprintf into small stack buffers instead
-// of streaming through an ostringstream: the serve dispatch path
-// builds one key per admitted request, and the stream's locale
-// machinery plus its internal buffer made every key cost several
-// allocations. With these helpers the only heap traffic is the
-// destination string's growth — and callers reserve that up front.
+// The builders append through small stack buffers with std::to_chars:
+// the serve dispatch path builds one key per admitted request, a key
+// is ~150 fields, and printf-style format parsing per field would cost
+// most of the key. The only heap traffic is the destination string's
+// growth — and callers reserve that up front.
 
-/** Serialize a double with full bit fidelity (hexfloat). */
+/**
+ * Serialize a double with full bit fidelity (hexfloat), byte-identical
+ * to "%a". Hex to_chars normalizes subnormals ("1p-1074" where "%a"
+ * keeps "0x0.…1p-1022"), so they and non-finite values keep snprintf.
+ */
 void
 putD(std::string &out, double v)
 {
-    char buf[48];
-    out.append(buf, std::snprintf(buf, sizeof(buf), "%a,", v));
+    char buf[48] = "-0x";
+    const int cls = std::fpclassify(v);
+    if (cls != FP_NORMAL && cls != FP_ZERO) {
+        out.append(buf, std::snprintf(buf, sizeof(buf), "%a,", v));
+        return;
+    }
+    char *p = std::to_chars(buf + 3, buf + sizeof(buf) - 1, std::fabs(v),
+                            std::chars_format::hex)
+                  .ptr;
+    *p++ = ',';
+    out.append(buf + (std::signbit(v) ? 0 : 1), p);
 }
 
 void
 putI(std::string &out, long long v)
 {
     char buf[24];
-    out.append(buf, std::snprintf(buf, sizeof(buf), "%lld", v));
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void
 putU(std::string &out, unsigned long long v)
 {
     char buf[24];
-    out.append(buf, std::snprintf(buf, sizeof(buf), "%llu", v));
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 void
@@ -145,9 +159,8 @@ requestKey(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
     return out;
 }
 
-void
-appendRequestShapeKey(std::string &out, const cnn::CnnModel &model,
-                      int batch)
+std::string
+requestShapeKey(const cnn::CnnModel &model, int batch)
 {
     // Cheap by design: submit() calls this on every request (including
     // ones about to be rejected), so unlike requestKey there is no
@@ -161,7 +174,8 @@ appendRequestShapeKey(std::string &out, const cnn::CnnModel &model,
                static_cast<std::uint64_t>(l.inChannels) * l.filters +
                static_cast<std::uint64_t>(l.kernelH) * l.kernelW;
     }
-    out.reserve(out.size() + 48 + model.name.size());
+    std::string out;
+    out.reserve(48 + model.name.size());
     out += "shape{";
     putS(out, model.name);
     putU(out, model.layers.size());
@@ -170,13 +184,6 @@ appendRequestShapeKey(std::string &out, const cnn::CnnModel &model,
     out += ",b";
     putI(out, batch);
     out += '}';
-}
-
-std::string
-requestShapeKey(const cnn::CnnModel &model, int batch)
-{
-    std::string out;
-    appendRequestShapeKey(out, model, batch);
     return out;
 }
 

@@ -16,7 +16,7 @@
  * logging and shard selection only — never use the digest alone as a
  * cache key.
  *
- * The append* builders write into a caller-owned buffer with a single
+ * appendRequestKey writes into a caller-owned buffer with a single
  * up-front reserve (no ostringstream, no intermediate temporaries), so
  * the serving layer's per-request key build costs zero steady-state
  * heap allocations when the buffer is reused across requests.
@@ -64,10 +64,6 @@ void appendRequestKey(std::string &out, const AcceleratorConfig &cfg,
  * differing only in layer internals) collapse to one shape class.
  */
 std::string requestShapeKey(const cnn::CnnModel &model, int batch);
-
-/** Append form of requestShapeKey (same bytes, caller's buffer). */
-void appendRequestShapeKey(std::string &out, const cnn::CnnModel &model,
-                           int batch);
 
 /** 64-bit FNV-1a digest of a canonical key (display/sharding only). */
 std::uint64_t requestDigest(std::string_view key);

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
+#include <optional>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -155,7 +155,7 @@ struct ConfigCosts
     /** Input SPM timing (Sram) or RANDOM array timing (Heter+). */
     RandomTiming rt;
     compiler::SchedParams sp; //!< Set when the ILP compiler runs.
-    std::string schedKey;     //!< sp.cacheKey(), formatted once.
+    std::string schedKey; //!< sp.cacheKey() once; empty: nothing schedules.
 };
 
 ConfigCosts
@@ -192,11 +192,11 @@ struct SchedOutcome
 
 ShardedCache<SchedOutcome> ilp_cache;
 
-SchedOutcome
-cachedScheduleOutcome(const systolic::ConvLayer &layer,
-                      const systolic::ArrayDims &pe,
-                      const LayerDemand &d, const ConfigCosts &costs,
-                      SchedMode mode, bool &computed)
+/** Build the memo key of one layer's schedule into @p key. */
+void
+schedMemoKey(std::string &key, const systolic::ConvLayer &layer,
+             const systolic::ArrayDims &pe, const ConfigCosts &costs,
+             SchedMode mode)
 {
     // The key must cover the full layer shape, the PE array the demand
     // was analyzed against, every SchedParams field, and the compiler
@@ -210,11 +210,20 @@ cachedScheduleOutcome(const systolic::ConvLayer &layer,
                          layer.filters, layer.kernelH, layer.kernelW,
                          layer.stride,  layer.pad,     layer.depthwise,
                          pe.rows,       pe.cols};
-    std::string key(sizeof shape, '\0');
-    std::memcpy(key.data(), shape, sizeof shape);
+    key.assign(reinterpret_cast<const char *>(shape), sizeof shape);
     key += costs.schedKey;
     if (mode == SchedMode::Greedy)
         key += "|greedy";
+}
+
+SchedOutcome
+cachedScheduleOutcome(const systolic::ConvLayer &layer,
+                      const systolic::ArrayDims &pe,
+                      const LayerDemand &d, const ConfigCosts &costs,
+                      SchedMode mode, bool &computed)
+{
+    std::string key;
+    schedMemoKey(key, layer, pe, costs, mode);
     const std::uint64_t traceId = TraceRecorder::currentTrace();
     computed = false;
     SchedOutcome out = ilp_cache.getOrCompute(key, [&]() {
@@ -321,11 +330,14 @@ ilpCacheInserts()
 namespace
 {
 
-/** @p scheduled is set when the layer's schedule was computed here. */
+/**
+ * @p memoHit is the layer's memoized schedule outcome, if known.
+ * @p scheduled is set when the layer's schedule was computed here.
+ */
 LayerResult
 runLayerWith(const AcceleratorConfig &cfg, const ConfigCosts &costs,
              const systolic::ConvLayer &layer, int batch, SchedMode mode,
-             bool &scheduled)
+             const SchedOutcome *memoHit, bool &scheduled)
 {
     smart_assert(batch >= 1, "batch must be >= 1");
     const LayerDemand d = systolic::analyzeDemand(layer, cfg.pe);
@@ -457,8 +469,10 @@ runLayerWith(const AcceleratorConfig &cfg, const ConfigCosts &costs,
         // exposing per-pixel dependent latency.
         double hidden = 0.0;
         if (cfg.useIlpCompiler) {
-            const SchedOutcome out = cachedScheduleOutcome(
-                layer, cfg.pe, d, costs, mode, scheduled);
+            const SchedOutcome out =
+                memoHit ? *memoHit
+                        : cachedScheduleOutcome(layer, cfg.pe, d, costs,
+                                                mode, scheduled);
             hidden = out.hidden;
             r.schedQuality = out.quality;
             r.schedGapBound = out.gapBound;
@@ -560,7 +574,7 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
 {
     bool scheduled = false;
     return runLayerWith(cfg, configCosts(cfg), layer, batch, mode,
-                        scheduled);
+                        nullptr, scheduled);
 }
 
 InferenceResult
@@ -582,20 +596,38 @@ runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
                         static_cast<std::int64_t>(model.layers.size()),
                         "layers");
 
-    // Layers are independent in this model, so they evaluate as
-    // stealable tasks (the per-layer ILP scheduling dominates the
-    // cost) and accumulate serially in layer order afterwards —
-    // parallel results are bit-identical to a serial loop. Nested
-    // under runBatch's per-item tasks this is real parallelism now,
-    // not the inlined-serial collapse of the fixed-wave pool.
+    // Layers are independent and accumulate serially in layer order
+    // afterwards, so results are bit-identical to a serial loop. Only
+    // layers whose schedule must be computed fan out as tasks: a memo
+    // hit (looked up once) or a layer that schedules nothing costs
+    // less than a task hand-off and runs inline. A schedule still in
+    // flight on another thread counts as a miss.
     const ConfigCosts costs = configCosts(cfg);
     res.layers.resize(model.layers.size());
+    std::vector<std::size_t> misses;
+    std::string key;
+    for (std::size_t i = 0; i < model.layers.size(); ++i) {
+        std::optional<SchedOutcome> hit;
+        if (!costs.schedKey.empty()) {
+            schedMemoKey(key, model.layers[i], cfg.pe, costs, mode);
+            hit = ilp_cache.find(key);
+            if (!hit) {
+                misses.push_back(i);
+                continue;
+            }
+            TraceRecorder::global().instant(traceId, "schedule_memo_hit");
+        }
+        bool s = false;
+        res.layers[i] = runLayerWith(cfg, costs, model.layers[i], batch,
+                                     mode, hit ? &*hit : nullptr, s);
+    }
     // memory_order: relaxed — a plain tally, read after pFor joins.
     std::atomic<std::size_t> scheduled{0};
-    pFor(model.layers.size(), [&](std::size_t i) {
+    pFor(misses.size(), [&](std::size_t k) {
+        const std::size_t i = misses[k];
         bool s = false;
-        res.layers[i] =
-            runLayerWith(cfg, costs, model.layers[i], batch, mode, s);
+        res.layers[i] = runLayerWith(cfg, costs, model.layers[i], batch,
+                                     mode, nullptr, s);
         if (s)
             scheduled.fetch_add(1, std::memory_order_relaxed);
     });

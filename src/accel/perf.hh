@@ -116,7 +116,9 @@ enum class SchedMode
 
 /**
  * Run one model at the given batch size on a configuration; @p mode
- * selects the scheduling pass (Greedy for degraded serving).
+ * selects the scheduling pass (Greedy for degraded serving). Layers
+ * whose schedule the memo lacks are scheduled as tasks on the global
+ * scheduler; every other layer evaluates inline on the caller.
  */
 InferenceResult runInference(const AcceleratorConfig &cfg,
                              const cnn::CnnModel &model, int batch,

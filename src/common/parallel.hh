@@ -11,6 +11,7 @@
 #define SMART_COMMON_PARALLEL_HH
 
 #include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -83,6 +84,22 @@ class ShardedCache
             }
         }
         return fut.get();
+    }
+
+    /**
+     * Lookup only: the value for @p key if resident and computed (an
+     * entry still in flight is a miss). Never publishes or blocks.
+     */
+    std::optional<Value> find(const std::string &key)
+    {
+        Shard &shard = shardOf(key);
+        LockGuard lock(shard.mu);
+        auto it = shard.map.find(key);
+        if (it == shard.map.end() ||
+            it->second.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready)
+            return std::nullopt;
+        return it->second.get();
     }
 
     static constexpr std::size_t kShards = 16;

@@ -654,7 +654,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
     std::vector<Group> groups;
     std::unordered_map<std::string_view, std::size_t> group_of;
 
-    auto resolveOk = [&](Pending &&p, const accel::InferenceResult &res,
+    auto resolveOk = [&](Pending &&p, accel::InferenceResult res,
                          bool cache_hit, bool coalesced) {
         const auto now = Clock::now();
         // One "serve" span per sampled request: wave dispatch →
@@ -674,7 +674,6 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         }
         EvalResponse r;
         r.status = ResponseStatus::Ok;
-        r.result = res;
         r.cacheHit = cache_hit;
         r.coalesced = coalesced;
         // Quality surfacing: a degrade-marked request only reports
@@ -693,6 +692,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         r.digest = p.digest;
         r.traceId = p.traceId;
         r.tag = std::move(p.req.tag);
+        r.result = std::move(res);
         resolve(std::move(p), std::move(r));
     };
 
@@ -747,7 +747,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         const std::string_view evalKey = p.degrade ? block : p.key;
         accel::InferenceResult stored;
         if (diskCache_ && storeLookup(p, evalKey, stored)) {
-            resolveOk(std::move(p), stored, /*cache_hit=*/true,
+            resolveOk(std::move(p), std::move(stored), /*cache_hit=*/true,
                       /*coalesced=*/false);
             continue;
         }
@@ -763,54 +763,56 @@ EvalService::serveWave(std::vector<Pending> &&wave)
 
     metrics_.recordWave(groups.size());
 
+    // Evaluate one coalescing group and resolve its members. The
+    // evaluation runs under the group head's trace id (the request
+    // that triggered it); a sampled member coalesced behind an
+    // unsampled head still gets its serve span, just not the
+    // schedule/execute internals.
+    auto serveGroup = [&](Group &g) {
+        const Pending &head = g.members.front();
+        TraceRecorder::TraceScope trace(head.traceId);
+        accel::InferenceResult res = accel::runInference(
+            head.req.cfg, head.req.model, head.req.batch,
+            head.degrade ? accel::SchedMode::Greedy
+                         : accel::SchedMode::Ilp);
+        // The cost sample follows the group head; read its fields
+        // before resolveOk moves them into the response. Degraded
+        // groups store under the "|greedy" key and feed the greedy
+        // shape EWMA, keeping both paths' cost models separate.
+        if (diskCache_)
+            diskCache_->put(std::string(g.evalKey),
+                            accel::serializeInferenceResult(res));
+        std::string shapeKey =
+            accel::requestShapeKey(head.req.model, head.req.batch);
+        if (head.degrade)
+            shapeKey += "|greedy";
+        estimator_.recordService(shapeKey,
+                                 msBetween(dispatch, Clock::now()));
+        const std::size_t n = g.members.size();
+        for (std::size_t k = 0; k + 1 < n; ++k)
+            resolveOk(std::move(g.members[k]), res, /*cache_hit=*/false,
+                      /*coalesced=*/k > 0);
+        resolveOk(std::move(g.members.back()), std::move(res),
+                  /*cache_hit=*/false, /*coalesced=*/n > 1);
+    };
+
     try {
-        // Each coalescing group is one stealable task on the global
-        // work-stealing scheduler. The dispatcher joins by helping
-        // (TaskGroup::wait executes pending tasks instead of
-        // sleeping), so it contributes a lane exactly like the old
-        // pool-parallel runBatch — and nested per-layer pFor inside
-        // runInference now feeds the same deques instead of running
-        // serially. Fulfilment is race-free without extra locking:
-        // group membership is disjoint.
+        // A one-group wave (an open-loop stream's usual wave: one
+        // memo-hit request) is served on the dispatcher, since a task
+        // hand-off costs more than a memo-hit evaluation. A larger wave
+        // runs each group as a stealable task; the dispatcher joins by
+        // helping (TaskGroup::wait runs pending tasks), so it
+        // contributes a lane. Fulfilment is race-free without extra
+        // locking: group membership is disjoint.
         const auto waveStart = Clock::now();
-        TaskGroup tasks;
-        for (auto &g : groups) {
-            tasks.run([&]() {
-                // The evaluation runs under the group head's trace id
-                // (the request that triggered it); a sampled member
-                // coalesced behind an unsampled head still gets its
-                // serve span, just not the schedule/execute
-                // internals. The scheduler carries the spawner's
-                // ambient trace to the stealing thread; the explicit
-                // scope here narrows it to this group's head.
-                const Pending &head = g.members.front();
-                TraceRecorder::TraceScope trace(head.traceId);
-                const accel::InferenceResult res = accel::runInference(
-                    head.req.cfg, head.req.model, head.req.batch,
-                    head.degrade ? accel::SchedMode::Greedy
-                                 : accel::SchedMode::Ilp);
-                // The cost sample follows the group head; read its
-                // fields before resolveOk moves them into the
-                // response. Degraded groups store under the "|greedy"
-                // key and feed the greedy shape EWMA, keeping both
-                // paths' cost models separate.
-                if (diskCache_)
-                    diskCache_->put(std::string(g.evalKey),
-                                    accel::serializeInferenceResult(res));
-                estimator_.recordService(
-                    accel::requestShapeKey(head.req.model,
-                                           head.req.batch) +
-                        (head.degrade ? "|greedy" : ""),
-                    msBetween(dispatch, Clock::now()));
-                bool first = true;
-                for (auto &p : g.members) {
-                    resolveOk(std::move(p), res, /*cache_hit=*/false,
-                              /*coalesced=*/!first);
-                    first = false;
-                }
-            });
+        if (groups.size() == 1) {
+            serveGroup(groups.front());
+        } else {
+            TaskGroup tasks;
+            for (auto &g : groups)
+                tasks.run([&]() { serveGroup(g); });
+            tasks.wait();
         }
-        tasks.wait();
         estimator_.recordWave(msBetween(waveStart, Clock::now()),
                               groups.size());
     } catch (...) {

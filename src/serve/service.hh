@@ -3,9 +3,10 @@
  * Async evaluation service over accel::runBatch — the serving layer of
  * the ROADMAP's north star. Clients submit (configuration, model,
  * batch) requests with priorities and deadlines and get back futures;
- * a dispatcher thread coalesces queued requests into runBatch waves
- * sized by a configurable policy, so concurrent callers share the
- * thread pool the way the figure benches do.
+ * a dispatcher thread coalesces queued requests into waves sized by a
+ * configurable policy. A one-group wave is evaluated on the dispatcher;
+ * a larger one runs each group as a task on the global scheduler, the
+ * pool the figure benches share. A memo-hit request runs no task.
  *
  * Three production behaviors sit between submission and evaluation:
  *

@@ -9,8 +9,9 @@
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
 # counts (solver work, figure-grid ILP pivots, B&B nodes and LP
-# replays, memo entries and the layer schedules a warm serve replay
-# adds) fail on any rise, on any host.
+# replays, memo entries, the layer schedules a warm serve replay adds
+# and the scheduler tasks memo-hit submits run) fail on any rise, on
+# any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -234,6 +235,24 @@ check "rising warm-replay schedule count fails across hosts" 1 \
 } > "$tmp/mtwarmup.jsonl"
 check "rising two-tenant warm-replay schedule count fails" 1 \
       "$tmp/mtwarmup.jsonl" 25
+
+memotasks() {
+    # History line for host "$1" with memo-hit serve tasks "$2".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"serve_memo_hit_tasks": %s}}}\n' \
+        "$1" "$2"
+}
+{
+    memotasks hostA 0
+    memotasks hostA 0
+} > "$tmp/memotasksflat.jsonl"
+check "flat memo-hit task count passes" 0 "$tmp/memotasksflat.jsonl" 25
+
+{
+    memotasks hostA 0
+    memotasks hostB 64
+} > "$tmp/memotasksup.jsonl"
+check "rising memo-hit task count fails across hosts" 1 \
+      "$tmp/memotasksup.jsonl" 25
 
 # --- boot stamps: a hostname alone is not a machine identity --------
 {

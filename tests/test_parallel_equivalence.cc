@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
+#include <set>
 
 #include "accel/batch.hh"
 #include "accel/perf.hh"
@@ -150,6 +152,81 @@ TEST(ParallelEquivalence, NestedGridRunBatchMatchesSerial)
                 expectIdentical(serial[c][i], nested[c][i]);
         }
     }
+}
+
+TEST(ParallelEquivalence, MemoWarmInferenceRunsNoTasks)
+{
+    // Only layers whose schedule must be computed fan out: a memo-warm
+    // evaluation runs every layer inline and spawns no scheduler task,
+    // and it equals both the cold run and a serial runLayer loop bit
+    // for bit.
+    setInformEnabled(false);
+    const auto cfg = accel::makeScheme(accel::Scheme::Smart);
+    const auto net = cnn::convLayersOnly(cnn::makeModel("MobileNet"));
+    auto &sched = TaskScheduler::global();
+
+    accel::clearIlpCache();
+    const auto coldStart = sched.stats().tasksRun;
+    const auto cold = accel::runInference(cfg, net, 2);
+    if (sched.size() > 1) {
+        EXPECT_GT(sched.stats().tasksRun - coldStart, 0u);
+    }
+
+    const auto warmStart = sched.stats().tasksRun;
+    const auto warm = accel::runInference(cfg, net, 2);
+    EXPECT_EQ(sched.stats().tasksRun - warmStart, 0u);
+    EXPECT_EQ(warm.schedulesComputed, 0u);
+    expectIdentical(cold, warm);
+    ASSERT_EQ(warm.layers.size(), net.layers.size());
+    for (std::size_t i = 0; i < net.layers.size(); ++i)
+        expectIdentical(accel::runLayer(cfg, net.layers[i], 2),
+                        warm.layers[i]);
+}
+
+TEST(ParallelEquivalence, HalfWarmInferenceSpawnsOnlyItsMisses)
+{
+    // Warm the memo with the even-indexed layers only. The full model
+    // then spawns one task per layer the memo lacks (the odd layers
+    // whose shape no even layer shares) and nothing for the rest, and
+    // still equals a cold evaluation bit for bit.
+    setInformEnabled(false);
+    const auto cfg = accel::makeScheme(accel::Scheme::Smart);
+    const auto net = cnn::convLayersOnly(cnn::makeModel("MobileNet"));
+    const auto shapeOf = [](const systolic::ConvLayer &l) {
+        return std::array<int, 9>{l.ifmapH,  l.ifmapW,  l.inChannels,
+                                  l.filters, l.kernelH, l.kernelW,
+                                  l.stride,  l.pad,     l.depthwise};
+    };
+    cnn::CnnModel evens = net;
+    evens.layers.clear();
+    std::set<std::array<int, 9>> warmShapes;
+    for (std::size_t i = 0; i < net.layers.size(); i += 2) {
+        evens.layers.push_back(net.layers[i]);
+        warmShapes.insert(shapeOf(net.layers[i]));
+    }
+    std::size_t misses = 0;
+    for (const auto &l : net.layers)
+        misses += warmShapes.count(shapeOf(l)) == 0;
+    ASSERT_GE(misses, 2u);
+
+    accel::clearIlpCache();
+    const auto cold = accel::runInference(cfg, net, 1);
+
+    accel::clearIlpCache();
+    accel::runInference(cfg, evens, 1);
+    auto &sched = TaskScheduler::global();
+    // pFor spawns one task per index while the range is under
+    // 8 chunks per worker (and none on a serial scheduler).
+    const bool fansOut = sched.size() > 1;
+    if (fansOut) {
+        ASSERT_LT(misses, static_cast<std::size_t>(sched.size()) * 8);
+    }
+    const auto start = sched.stats().tasksRun;
+    const auto half = accel::runInference(cfg, net, 1);
+    EXPECT_EQ(sched.stats().tasksRun - start, fansOut ? misses : 0u);
+    EXPECT_GT(half.schedulesComputed, 0u);
+    EXPECT_LE(half.schedulesComputed, misses);
+    expectIdentical(cold, half);
 }
 
 TEST(ParallelEquivalence, DseSweepMatchesPointwiseEvaluation)
