@@ -1,8 +1,8 @@
 /**
  * @file
- * Ablation (DESIGN.md Sec. 4): the ILP scheduler vs the greedy
- * allocator on every layer of every model — objective values and the
- * prefetch coverage each achieves.
+ * Ablation of the paper's Sec. 4.3 compiler: the ILP scheduler vs the
+ * greedy allocator on every layer of every model — objective values
+ * and the prefetch coverage each achieves.
  */
 
 #include <iostream>

@@ -22,13 +22,6 @@
  * BENCH_micro.json-compatible schema (SERVE_metrics.json by
  * default).
  *
- * SMART_DISK_CACHE=<path> enables the persistent result store at
- * that path, so a second run of this binary against the same file
- * warm-starts from the first run's results (the crash-recovery CI leg
- * runs exactly that, with torn writes injected via SMART_FAULT_*).
- * SMART_EXPECT_WARM=1 additionally fails the smoke test when the run
- * saw no L2 hits — the assertion that a restart actually warm-started.
- *
  * Exits nonzero if the replay accounting is inconsistent (a request
  * neither completed nor reported rejected/shed/expired), if the warm
  * pass scheduled a new layer although the cold pass completed every
@@ -40,7 +33,6 @@
  */
 
 #include <cstdint>
-#include <cstdlib>
 #include <iostream>
 #include <fstream>
 #include <future>
@@ -215,14 +207,6 @@ main(int argc, char **argv)
     // request that expires or is rejected as hopeless leaves its span
     // history in the flight recorder.
     cfg.traceSampleEvery = 4;
-    // Persistent store (opt-in): point SMART_DISK_CACHE at a file and
-    // a rerun of this binary warm-starts from it across the restart.
-    const char *diskEnv = std::getenv("SMART_DISK_CACHE");
-    if (diskEnv && *diskEnv)
-        cfg.diskCachePath = diskEnv;
-    const char *warmEnv = std::getenv("SMART_EXPECT_WARM");
-    const bool expectWarm =
-        warmEnv && *warmEnv && std::string(warmEnv) != "0";
     serve::EvalService svc(cfg);
 
     serve::TraceConfig tcfg;
@@ -359,18 +343,6 @@ main(int argc, char **argv)
     s.row().cell("throughput (req/s)").num(m.throughputRps, 1);
     s.row().cell("queue high water").integer(
         static_cast<long long>(m.queueHighWater));
-    if (!cfg.diskCachePath.empty()) {
-        s.row().cell("L2 hits").integer(
-            static_cast<long long>(m.l2Hits));
-        s.row().cell("L2 misses").integer(
-            static_cast<long long>(m.l2Misses));
-        s.row().cell("L2 puts").integer(
-            static_cast<long long>(m.l2Puts));
-        s.row().cell("L2 entries").integer(
-            static_cast<long long>(m.l2Entries));
-        s.row().cell("L2 corrupt skipped").integer(
-            static_cast<long long>(m.l2CorruptSkipped));
-    }
     s.print(std::cout);
 
     // Per-stage latency breakdown from the sampled traces: the
@@ -450,14 +422,6 @@ main(int argc, char **argv)
     if (!sawHogSlo || !sawMouseSlo) {
         std::cerr << "FAIL: per-tenant SLO rows missing or carrying "
                      "the wrong resolved target\n";
-        return 1;
-    }
-    // Crash-recovery leg: a rerun against a populated disk store must
-    // actually warm-start (its hits are served without evaluation),
-    // even when the first run's log carries injected torn writes.
-    if (expectWarm && m.l2Hits == 0) {
-        std::cerr << "FAIL: SMART_EXPECT_WARM set but the run saw no "
-                     "L2 (disk cache) hits\n";
         return 1;
     }
     if (!ov.closes()) {

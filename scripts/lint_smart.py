@@ -27,11 +27,16 @@ tsa-escape     `SMART_NO_THREAD_SAFETY_ANALYSIS` needs an adjacent
 raw-unit-double
                Raw `double` declarations whose camelCase name carries a
                unit suffix (Ps, Ns, Ghz, J, Pj, W, Um2) are banned in
-               src/ outside common/units.hh and the byte-exact serdes
-               boundaries: use the typed quantities (smart::Picoseconds,
-               smart::Joules, ...) so a unit mix-up is a compile error.
+               src/ outside common/units.hh and the byte-exact
+               request-key serializer (accel/hash.cc): use the typed
+               quantities (smart::Picoseconds, smart::Joules, ...) so a
+               unit mix-up is a compile error.
                Densities and report-only figure-scale fields take a
                `lint-allow(raw-unit-double)` with the reason.
+doc-ref        A comment in src/, bench/ or examples/ that names a `*.md`
+               file must name one that exists (relative to the repo
+               root or to the commenting file), so prose never points
+               a reader at a document that is not there.
 knob-table     The data members of `struct ServiceConfig`
                (src/serve/service.hh) and of `struct QueueConfig`
                (src/serve/queue.hh, as `queue.<field>`) must match the
@@ -67,12 +72,11 @@ RATIONALE_WINDOW = 20
 # the allocator, and the TSA header defines the Mutex wrapper itself.
 ARENA_FILES = {"src/common/arena.hh"}
 MUTEX_ALLOWED_FILES = {"src/common/threadsafety.hh"}
-# The typed-unit vocabulary itself plus the byte-exact serialization
-# boundaries, where quantities are unwrapped to raw doubles on purpose.
+# The typed-unit vocabulary itself plus the byte-exact request-key
+# serializer, where quantities are unwrapped to raw doubles on purpose.
 UNIT_BOUNDARY_FILES = {
     "src/common/units.hh",
     "src/accel/hash.cc",
-    "src/accel/serdes.cc",
 }
 
 NEW_RE = re.compile(r"\bnew\b\s*(\(|[A-Za-z_:<]|\[)")
@@ -88,6 +92,8 @@ TSA_ESCAPE_RE = re.compile(r"\bSMART_NO_THREAD_SAFETY_ANALYSIS\b")
 UNIT_DOUBLE_RE = re.compile(
     r"\bdouble\s+([a-z]\w*(?:Ps|Ns|Ghz|J|Pj|W|Um2))\b")
 RATIONALE_RE = re.compile(r"//.*\bmemory_order:")
+# A markdown file name (optionally with a directory part) in a comment.
+DOC_REF_RE = re.compile(r"[\w./-]*\w\.md\b")
 TSA_REASON_RE = re.compile(r"//\s*tsa:")
 ALLOW_RE = re.compile(r"//\s*lint-allow\((?P<rule>[a-z-]+)\)\s*:\s*\S")
 
@@ -98,10 +104,15 @@ KNOB_TABLE_TITLE = "**ServiceConfig knobs.**"
 KNOB_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
-def strip_code(text):
+def strip_code(text, keep_comments=False):
     """Blank out comments and string/char literals, preserving line
     structure, so the rules only see code.  (Suppressions and rationale
-    comments are read from the RAW lines instead.)"""
+    comments are read from the RAW lines instead.)  With keep_comments
+    the roles flip: only comment text survives."""
+    def emit(ch, in_comment):
+        # Newlines always survive, so line numbers stay aligned.
+        return ch if ch == "\n" or in_comment == keep_comments else " "
+
     out = []
     i, n = 0, len(text)
     state = "code"  # code | line_comment | block_comment | string | char
@@ -141,14 +152,12 @@ def strip_code(text):
                 out.append(" ")
                 i += 1
                 continue
-            out.append(c)
+            out.append(emit(c, False))
             i += 1
         elif state == "line_comment":
             if c == "\n":
                 state = "code"
-                out.append("\n")
-            else:
-                out.append(" ")
+            out.append(emit(c, True))
             i += 1
         elif state == "block_comment":
             if c == "*" and nxt == "/":
@@ -156,7 +165,7 @@ def strip_code(text):
                 out.append("  ")
                 i += 2
                 continue
-            out.append("\n" if c == "\n" else " ")
+            out.append(emit(c, True))
             i += 1
         else:  # string / char
             quote = '"' if state == "string" else "'"
@@ -181,7 +190,7 @@ def suppressed(raw_lines, lineno, rule):
     return False
 
 
-def lint_file(path, rel, violations):
+def lint_file(path, rel, violations, repo):
     raw = path.read_text(encoding="utf-8", errors="replace")
     raw_lines = raw.splitlines()
     code_lines = strip_code(raw).splitlines()
@@ -190,6 +199,17 @@ def lint_file(path, rel, violations):
     def report(lineno, rule, msg):
         if not suppressed(raw_lines, lineno, rule):
             violations.append((rel, lineno, rule, msg))
+
+    comment_lines = strip_code(raw, keep_comments=True).splitlines()
+    for lineno, comment in enumerate(comment_lines, 1):
+        for m in DOC_REF_RE.finditer(comment):
+            doc = m.group(0)
+            if not ((repo / doc).is_file() or
+                    (repo / rel).parent.joinpath(doc).is_file()):
+                report(lineno, "doc-ref",
+                       f"comment names `{doc}`, which is not in the "
+                       "repository — state the point inline or cite a "
+                       "document that exists")
 
     for idx, code in enumerate(code_lines):
         lineno = idx + 1
@@ -385,7 +405,7 @@ def run_lint(repo):
     count = 0
     for path, rel in iter_targets(repo):
         count += 1
-        lint_file(path, rel, violations)
+        lint_file(path, rel, violations, repo)
     if count == 0:
         print("lint_smart: no files found — wrong --repo?", file=sys.stderr)
         return 2
@@ -419,10 +439,10 @@ def run_self_test(repo):
 
     violations = []
     # Fixtures are linted as if they lived in src/.
-    lint_file(bad, "src/lint_fixtures/bad_fixture.cc", violations)
+    lint_file(bad, "src/lint_fixtures/bad_fixture.cc", violations, repo)
     found = {rule for (_, _, rule, _) in violations}
     expected = {"naked-new", "naked-delete", "endl", "memory-order",
-                "std-mutex", "tsa-escape", "raw-unit-double"}
+                "std-mutex", "tsa-escape", "raw-unit-double", "doc-ref"}
     missing = expected - found
     if missing:
         print(f"lint_smart --self-test: rules did not fire on the bad "
@@ -430,7 +450,7 @@ def run_self_test(repo):
         return 1
 
     violations = []
-    lint_file(good, "src/lint_fixtures/good_fixture.cc", violations)
+    lint_file(good, "src/lint_fixtures/good_fixture.cc", violations, repo)
     if violations:
         for rel, lineno, rule, msg in violations:
             print(f"{rel}:{lineno}: [{rule}] {msg}")

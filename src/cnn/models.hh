@@ -5,7 +5,8 @@
  *
  * FasterRCNN follows SCALE-SIM's convention of a VGG16 backbone plus the
  * region-proposal-network convolutions and detection head at a 224x224
- * input; the approximation is documented in DESIGN.md.
+ * input. This approximates the real network, which runs at a larger
+ * input and applies its head to every region proposal, not once.
  */
 
 #ifndef SMART_CNN_MODELS_HH
@@ -57,7 +58,7 @@ const std::vector<std::string> &modelNames();
  * The paper's SCALE-SIM evaluation is convolution-dominated: FC weight
  * streaming at batch 1 would make every scheme DRAM-bound and erase the
  * SPM effects under study, so the figure benches evaluate the conv
- * trunk (documented in EXPERIMENTS.md).
+ * trunk.
  */
 CnnModel convLayersOnly(const CnnModel &model);
 

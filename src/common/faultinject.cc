@@ -39,9 +39,6 @@ envConfig()
     FaultInjector::Config cfg;
     cfg.ilpThrowProb = envDouble("SMART_FAULT_ILP_THROW", 0.0);
     cfg.ilpStallMs = envDouble("SMART_FAULT_ILP_STALL_MS", 0.0);
-    cfg.diskTornWriteProb =
-        envDouble("SMART_FAULT_DISK_TORN_WRITE", 0.0);
-    cfg.diskTornReadProb = envDouble("SMART_FAULT_DISK_TORN_READ", 0.0);
     cfg.seed = envU64("SMART_FAULT_SEED", 0x5eed);
     return cfg;
 }
@@ -112,34 +109,6 @@ FaultInjector::onIlpSolve()
     }
     if (draw(throw_prob))
         throw FaultInjected("injected ILP solver fault");
-}
-
-bool
-FaultInjector::tornWrite()
-{
-    // memory_order: relaxed — fast-path hint, as in onIlpSolve().
-    if (!armed_.load(std::memory_order_relaxed))
-        return false;
-    double prob;
-    {
-        LockGuard lock(mu_);
-        prob = cfg_.diskTornWriteProb;
-    }
-    return draw(prob);
-}
-
-bool
-FaultInjector::tornRead()
-{
-    // memory_order: relaxed — fast-path hint, as in onIlpSolve().
-    if (!armed_.load(std::memory_order_relaxed))
-        return false;
-    double prob;
-    {
-        LockGuard lock(mu_);
-        prob = cfg_.diskTornReadProb;
-    }
-    return draw(prob);
 }
 
 } // namespace smart

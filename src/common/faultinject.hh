@@ -3,17 +3,14 @@
  * Deterministic fault injection for robustness tests and benches. A
  * process-wide injector (configured from SMART_FAULT_* environment
  * variables on first use, or programmatically) can make the ILP
- * solver throw or stall past its budget and the disk cache observe
- * torn reads/writes. All draws come from one seeded Rng behind a
- * mutex, so a given (seed, call sequence) reproduces the same fault
- * pattern; production builds pay a single relaxed-atomic check per
- * hook when no faults are armed.
+ * solver throw or stall past its budget. All draws come from one
+ * seeded Rng behind a mutex, so a given (seed, call sequence)
+ * reproduces the same fault pattern; production builds pay a single
+ * relaxed-atomic check per hook when no faults are armed.
  *
  * Environment knobs (read once, at first global() use):
  *   SMART_FAULT_ILP_THROW       probability in [0,1] an ILP solve throws
  *   SMART_FAULT_ILP_STALL_MS    milliseconds every ILP solve sleeps
- *   SMART_FAULT_DISK_TORN_WRITE probability a disk-cache append is torn
- *   SMART_FAULT_DISK_TORN_READ  probability a disk-cache read is torn
  *   SMART_FAULT_SEED            Rng seed (default 0x5eed)
  */
 
@@ -44,16 +41,13 @@ class FaultInjector
   public:
     struct Config
     {
-        double ilpThrowProb = 0.0;      //!< P(onIlpSolve throws).
-        double ilpStallMs = 0.0;        //!< Sleep per onIlpSolve.
-        double diskTornWriteProb = 0.0; //!< P(tornWrite() true).
-        double diskTornReadProb = 0.0;  //!< P(tornRead() true).
+        double ilpThrowProb = 0.0; //!< P(onIlpSolve throws).
+        double ilpStallMs = 0.0;   //!< Sleep per onIlpSolve.
         std::uint64_t seed = 0x5eed;
 
         bool any() const
         {
-            return ilpThrowProb > 0.0 || ilpStallMs > 0.0 ||
-                   diskTornWriteProb > 0.0 || diskTornReadProb > 0.0;
+            return ilpThrowProb > 0.0 || ilpStallMs > 0.0;
         }
     };
 
@@ -78,12 +72,6 @@ class FaultInjector
      * with probability ilpThrowProb. No-op when disarmed.
      */
     void onIlpSolve();
-
-    /** True when a disk-cache append should be torn mid-record. */
-    bool tornWrite();
-
-    /** True when a disk-cache read should observe corrupt bytes. */
-    bool tornRead();
 
   private:
     FaultInjector();

@@ -8,17 +8,6 @@ namespace smart
 {
 
 double
-mean(const std::vector<double> &xs)
-{
-    if (xs.empty())
-        return 0.0;
-    double s = 0.0;
-    for (double x : xs)
-        s += x;
-    return s / static_cast<double>(xs.size());
-}
-
-double
 geomean(const std::vector<double> &xs)
 {
     if (xs.empty())
@@ -29,41 +18,6 @@ geomean(const std::vector<double> &xs)
         log_sum += std::log(x);
     }
     return std::exp(log_sum / static_cast<double>(xs.size()));
-}
-
-double
-stddev(const std::vector<double> &xs)
-{
-    if (xs.size() < 2)
-        return 0.0;
-    double m = mean(xs);
-    double acc = 0.0;
-    for (double x : xs)
-        acc += (x - m) * (x - m);
-    return std::sqrt(acc / static_cast<double>(xs.size()));
-}
-
-double
-relError(double a, double b)
-{
-    smart_assert(b != 0.0, "relError reference must be nonzero");
-    return std::fabs(a - b) / std::fabs(b);
-}
-
-void
-Accum::add(double x)
-{
-    if (count_ == 0) {
-        min_ = x;
-        max_ = x;
-    } else {
-        if (x < min_)
-            min_ = x;
-        if (x > max_)
-            max_ = x;
-    }
-    sum_ += x;
-    ++count_;
 }
 
 } // namespace smart

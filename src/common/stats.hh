@@ -1,60 +1,22 @@
 /**
  * @file
- * Small statistics helpers: means, geometric means, and a streaming
- * accumulator used by benches and the trace analyzers.
+ * Statistics helper for the benches: the geometric mean behind the
+ * paper's "gmean" columns.
  */
 
 #ifndef SMART_COMMON_STATS_HH
 #define SMART_COMMON_STATS_HH
 
-#include <cstddef>
 #include <vector>
 
 namespace smart
 {
-
-/** Arithmetic mean; returns 0 for an empty range. */
-double mean(const std::vector<double> &xs);
 
 /**
  * Geometric mean; all inputs must be > 0 (the paper's "gmean" columns).
  * Returns 0 for an empty range.
  */
 double geomean(const std::vector<double> &xs);
-
-/** Population standard deviation; returns 0 for fewer than two samples. */
-double stddev(const std::vector<double> &xs);
-
-/** Relative error |a - b| / |b|; b must be nonzero. */
-double relError(double a, double b);
-
-/**
- * Streaming accumulator for min/max/sum/count statistics, cheap enough for
- * per-cycle trace loops.
- */
-class Accum
-{
-  public:
-    /** Fold one sample into the accumulator. */
-    void add(double x);
-
-    /** Number of samples folded in. */
-    std::size_t count() const { return count_; }
-    /** Sum of samples (0 if empty). */
-    double sum() const { return sum_; }
-    /** Mean of samples (0 if empty). */
-    double mean() const { return count_ ? sum_ / count_ : 0.0; }
-    /** Minimum sample (0 if empty). */
-    double min() const { return count_ ? min_ : 0.0; }
-    /** Maximum sample (0 if empty). */
-    double max() const { return count_ ? max_ : 0.0; }
-
-  private:
-    std::size_t count_ = 0;
-    double sum_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
 
 } // namespace smart
 

@@ -24,14 +24,14 @@
  *    exact double arithmetic of its raw predecessor, so figure outputs
  *    stay bit-identical.
  *
- * Boundary rule: serialization (accel/hash.cc, accel/serdes.cc), JSON
- * emitters, and bench/figure printers unwrap through the explicit
- * .value() accessor or the named conversion helpers only — no implicit
- * conversion to double exists. Everywhere else, struct fields, function
- * signatures, and constants use the typed aliases; the lint rule
- * `raw-unit-double` (scripts/lint_smart.py) rejects newly introduced raw
- * `double` fields/params with unit suffixes outside this header and the
- * serdes boundary.
+ * Boundary rule: serialization (accel/hash.cc), JSON emitters, and
+ * bench/figure printers unwrap through the explicit .value() accessor
+ * or the named conversion helpers only — no implicit conversion to
+ * double exists. Everywhere else, struct fields, function signatures,
+ * and constants use the typed aliases; the lint rule `raw-unit-double`
+ * (scripts/lint_smart.py) rejects newly introduced raw `double`
+ * fields/params with unit suffixes outside this header and the
+ * request-key serializer.
  *
  * Literals live in smart::units::literals (inline): 1.2_ps, 7_ns,
  * 3_ghz, 0.1_fj, 2.5_pj, 1.1_w, 0.15_nw, 30.5_um2, 64_kib, 28_mib.

@@ -5,7 +5,7 @@
  * memory objects whose loads/stores can be scheduled there. Fold
  * iterations are chunked to a bounded iteration count so the ILP stays
  * tractable (the paper lets Gurobi run for up to an hour per model; we
- * bound the DAG instead and document it in DESIGN.md).
+ * bound the DAG instead, see DagBuildParams::maxIterations).
  */
 
 #ifndef SMART_COMPILER_DAG_HH

@@ -43,8 +43,6 @@ qualityName(Quality q)
         return "optimal";
       case Quality::Greedy:
         return "greedy";
-      case Quality::CacheHit:
-        return "cache";
     }
     smart_panic("unknown quality");
 }

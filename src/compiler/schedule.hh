@@ -68,17 +68,15 @@ struct SchedParams
  * proven optimal). Greedy means the density heuristic produced it —
  * either by request (anytime/degraded serving) or because the ILP
  * fell back; the gap bound is then measured against the B&B root
- * relaxation when one is available, else unknown. CacheHit marks
- * results replayed from a cache without re-scheduling.
+ * relaxation when one is available, else unknown.
  */
 enum class Quality
 {
     Optimal,
-    Greedy,
-    CacheHit
+    Greedy
 };
 
-/** Human-readable quality name ("optimal" / "greedy" / "cache"). */
+/** Human-readable quality name ("optimal" / "greedy"). */
 const char *qualityName(Quality q);
 
 /** A complete schedule for one layer DAG. */

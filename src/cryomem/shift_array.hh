@@ -9,8 +9,7 @@
  * SHIFT's ultra-cheap sequential streaming and its catastrophic random
  * access cost ("moving many unnecessary bits", Sec. 3).
  *
- * Two energy views exist (documented in EXPERIMENTS.md): the per-access
- * lane-step energy the paper plots in Fig. 16 (every DFF in the lane
+ * Two energy views exist: the per-access lane-step energy the paper plots in Fig. 16 (every DFF in the lane
  * transfers on a shift: laneBytes * 8 * 0.1 fJ) and the port-referenced
  * system energy used by the end-to-end model, calibrated against
  * SuperNPU's published 1.9 W average power.

@@ -57,11 +57,6 @@ MetricsSnapshot::toMetrics() const
         {"cache_hits", static_cast<double>(cacheHits)},
         {"cache_misses", static_cast<double>(cacheMisses)},
         {"cache_hit_rate", cacheHitRate},
-        {"l2_hits", static_cast<double>(l2Hits)},
-        {"l2_misses", static_cast<double>(l2Misses)},
-        {"l2_puts", static_cast<double>(l2Puts)},
-        {"l2_corrupt_skipped", static_cast<double>(l2CorruptSkipped)},
-        {"l2_entries", static_cast<double>(l2Entries)},
         {"coalesced", static_cast<double>(coalesced)},
         {"waves", static_cast<double>(waves)},
         {"wave_items", static_cast<double>(waveItems)},

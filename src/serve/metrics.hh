@@ -1,7 +1,7 @@
 /**
  * @file
  * Serving-layer metrics: per-request latency distribution, admission
- * and store-hit counters, wave/coalescing statistics, and queue-depth
+ * and cache-hit counters, wave/coalescing statistics, and queue-depth
  * tracking, exportable as a point-in-time snapshot and as a JSON
  * report with the same flat shape as BENCH_micro.json ({"bench": ...,
  * "threads": N, "metrics": {...}}), so serving metrics slot into the
@@ -44,9 +44,7 @@ struct MetricsSnapshot
     /**
      * Subset of completed served through the greedy (anytime)
      * scheduler instead of the ILP — graceful degradation under
-     * deadline pressure (Admission::ServedDegraded). A degrade-marked
-     * request that was satisfied by a stored *optimal* result does not
-     * count here: it was served at full quality.
+     * deadline pressure (Admission::ServedDegraded).
      */
     std::uint64_t servedDegraded = 0;
     /** Wave evaluation threw; futures carry the exception. */
@@ -54,9 +52,9 @@ struct MetricsSnapshot
 
     /**
      * Completed without computing a layer schedule
-     * (EvalResponse::servedFromCache): persistent-store hits, and
-     * evaluations the schedule memo served whole (schemes without the
-     * ILP compiler schedule nothing and count here too).
+     * (EvalResponse::servedFromCache): evaluations the schedule memo
+     * served whole (schemes without the ILP compiler schedule nothing
+     * and count here too).
      */
     std::uint64_t cacheHits = 0;
     /** Completed evaluations that computed at least one schedule. */
@@ -68,16 +66,6 @@ struct MetricsSnapshot
 
     double cacheHitRate = 0.0; //!< hits / (hits + misses); 0 if none.
     double meanWaveSize = 0.0; //!< waveItems / waves; 0 if none.
-
-    // Persistent (L2) result-store counters (filled by
-    // EvalService::metrics() from common/diskcache.hh when
-    // ServiceConfig::diskCachePath is set; all zero otherwise).
-    std::uint64_t l2Hits = 0;
-    std::uint64_t l2Misses = 0;
-    std::uint64_t l2Puts = 0;
-    /** Records skipped on load/read due to checksum/framing damage. */
-    std::uint64_t l2CorruptSkipped = 0;
-    std::size_t l2Entries = 0; //!< Live keys in the on-disk map.
 
     // SLO-driven wave sizing (see ServiceConfig::sloP95Ms).
     std::size_t waveLimit = 0;  //!< Current adaptive maxWave bound.

@@ -26,7 +26,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -68,15 +67,10 @@ struct Pending
     /** Absolute queue deadline; time_point::max() when none. */
     std::chrono::steady_clock::time_point deadline;
     /**
-     * Canonical accel::requestKey; filled at dispatch, not submit.
-     * A view into the dispatcher's wave-scoped key arena (one
-     * contiguous block also holds the "|greedy" twin), valid for
-     * the duration of serveWave — exactly the window in which the
-     * request is resolved. Code holding a Pending beyond its wave
-     * must not read key.
+     * accel::requestDigest of the canonical request key; filled at
+     * dispatch, not submit.
      */
-    std::string_view key;
-    std::uint64_t digest = 0; //!< accel::requestDigest of key.
+    std::uint64_t digest = 0;
     /**
      * Graceful degradation: serve through the greedy (anytime)
      * scheduler instead of the ILP. Set at submit (degradePolicy Auto's

@@ -55,7 +55,7 @@ struct EvalRequest
 /** Terminal state of an admitted request. */
 enum class ResponseStatus
 {
-    Ok,      //!< Evaluated (or served from store); result is valid.
+    Ok,      //!< Evaluated; result is valid.
     Shed,    //!< Evicted while queued to admit a higher-priority request.
     Expired  //!< Deadline passed before dispatch.
 };
@@ -65,11 +65,15 @@ struct EvalResponse
 {
     ResponseStatus status = ResponseStatus::Ok;
     accel::InferenceResult result; //!< Valid only when status == Ok.
-    /** Served from the persistent result store, not evaluated. */
+    /**
+     * Always false: no result store sits in front of evaluation.
+     * Kept only because smartbench/bench.cc still reads it; the
+     * cache-hit notion the metrics count is servedFromCache().
+     */
     bool cacheHit = false;
     bool coalesced = false;  //!< Shared another request's evaluation.
     double queueMs = 0.0;   //!< Submission -> wave dispatch.
-    /** Wave dispatch -> completion (near-zero on a store hit). */
+    /** Wave dispatch -> completion. */
     double serviceMs = 0.0;
     double totalMs = 0.0;    //!< Submission -> completion.
     /**
@@ -81,15 +85,10 @@ struct EvalResponse
     std::string tag; //!< Echo of EvalRequest::tag.
     /**
      * Graceful degradation: true when this request was served through
-     * the greedy (anytime) scheduler instead of the ILP. quality and
-     * gapBound mirror InferenceResult::schedQuality/schedGapBound,
-     * with CacheHit substituted when the result came from the
-     * persistent store (the underlying schedule quality is inside
-     * `result`).
+     * the greedy (anytime) scheduler instead of the ILP. The schedule
+     * quality and gap bound are result.schedQuality/schedGapBound.
      */
     bool degraded = false;
-    compiler::Quality quality = compiler::Quality::Optimal;
-    double gapBound = 0.0;
     /**
      * Nonzero when this request was sampled by the tracer
      * (ServiceConfig::traceSampleEvery): the TraceRecorder trace id
@@ -100,16 +99,16 @@ struct EvalResponse
     std::uint64_t traceId = 0;
 
     /**
-     * Answered without computing a layer schedule: a persistent-store
-     * hit, or an evaluation the schedule memo served whole (see
-     * InferenceResult::schedulesComputed; a coalesced request shares
-     * its group head's count). This is what the cache-hit counters
+     * Answered without computing a layer schedule: an evaluation the
+     * schedule memo served whole (see InferenceResult::
+     * schedulesComputed; a coalesced request shares its group head's
+     * count). This is what the cache-hit counters
      * (MetricsSnapshot::cacheHits, ReplayReport::cacheHits) count;
      * every other Ok response is a cache miss.
      */
     bool servedFromCache() const
     {
-        return cacheHit || result.schedulesComputed == 0;
+        return result.schedulesComputed == 0;
     }
 };
 

@@ -7,7 +7,6 @@
 
 #include "accel/hash.hh"
 #include "accel/perf.hh"
-#include "accel/serdes.hh"
 #include "common/arena.hh"
 #include "common/logging.hh"
 #include "common/taskgraph.hh"
@@ -69,14 +68,8 @@ anySloConfigured(const ServiceConfig &cfg)
 } // namespace
 
 EvalService::EvalService(ServiceConfig cfg)
-    : cfg_(normalized(cfg)), queue_(cfg_.queue),
-      // The persistent store loads (and, if damaged, self-heals) its
-      // on-disk state here, before the dispatcher thread below can
-      // consult it — restarts warm-start from the first wave.
-      diskCache_(cfg_.diskCachePath.empty()
-                     ? nullptr
-                     : std::make_unique<DiskCache>(cfg_.diskCachePath)),
-      waveLimit_(cfg_.maxWave), sloActive_(anySloConfigured(cfg_)),
+    : cfg_(normalized(cfg)), queue_(cfg_.queue), waveLimit_(cfg_.maxWave),
+      sloActive_(anySloConfigured(cfg_)),
       dispatcher_([this]() { dispatcherLoop(); })
 {
     // Arm the process-wide tracer (common/tracespan.hh) when this
@@ -171,14 +164,6 @@ EvalService::metrics() const
         for (auto &st : TraceRecorder::global().stageStats())
             s.stages.push_back(
                 {std::move(st.name), st.count, st.p50Ms, st.p95Ms});
-    }
-    if (diskCache_) {
-        const auto ds = diskCache_->stats();
-        s.l2Hits = ds.hits;
-        s.l2Misses = ds.misses;
-        s.l2Puts = ds.puts;
-        s.l2CorruptSkipped = ds.corruptSkipped;
-        s.l2Entries = ds.entries;
     }
     return s;
 }
@@ -641,21 +626,16 @@ EvalService::serveWave(std::vector<Pending> &&wave)
 {
     const auto dispatch = Clock::now();
 
-    // Requests whose key the persistent store already holds complete
-    // immediately; the rest are grouped by key so identical requests
-    // in one wave share a single evaluation (coalescing).
-    struct Group
-    {
-        /** Store/coalescing key: the canonical key, or its "|greedy"
-         *  twin for degraded groups. View into the wave key arena. */
-        std::string_view evalKey;
-        std::vector<Pending> members;
-    };
+    // Requests are grouped by key so identical requests in one wave
+    // share a single evaluation (coalescing). group_of is keyed on the
+    // canonical key, or its "|greedy" twin for degraded requests; its
+    // keys are views into the wave key arena.
+    using Group = std::vector<Pending>;
     std::vector<Group> groups;
     std::unordered_map<std::string_view, std::size_t> group_of;
 
     auto resolveOk = [&](Pending &&p, accel::InferenceResult res,
-                         bool cache_hit, bool coalesced) {
+                         bool coalesced) {
         const auto now = Clock::now();
         // One "serve" span per sampled request: wave dispatch →
         // resolution. Together with queue_wait (submit → dispatch,
@@ -668,22 +648,15 @@ EvalService::serveWave(std::vector<Pending> &&wave)
                         std::chrono::nanoseconds>(t.time_since_epoch())
                         .count());
             };
-            TraceRecorder::global().recordSpan(
-                p.traceId, "serve", ns(dispatch), ns(now),
-                cache_hit ? 1 : 0, "cache_hit");
+            TraceRecorder::global().recordSpan(p.traceId, "serve",
+                                               ns(dispatch), ns(now));
         }
         EvalResponse r;
         r.status = ResponseStatus::Ok;
-        r.cacheHit = cache_hit;
         r.coalesced = coalesced;
-        // Quality surfacing: a degrade-marked request only reports
-        // degraded when the result it got actually came off the
-        // greedy path — one satisfied by a stored optimal result was
-        // served at full quality and must not inflate the degraded
-        // counters.
-        r.quality = cache_hit ? compiler::Quality::CacheHit
-                              : res.schedQuality;
-        r.gapBound = res.schedGapBound;
+        // A degrade-marked request reports degraded only when a greedy
+        // schedule actually shaped its result: a scheme that schedules
+        // nothing was served at full quality.
         r.degraded = p.degrade &&
                      res.schedQuality == compiler::Quality::Greedy;
         r.queueMs = msBetween(p.submitTime, dispatch);
@@ -696,35 +669,10 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         resolve(std::move(p), std::move(r));
     };
 
-    // A degrade-marked request is happily served by a stored OPTIMAL
-    // result — strictly better quality at store-hit cost — so its
-    // lookup tries the optimal key first, then its own "|greedy"
-    // twin. The reverse never holds: degraded results live under the
-    // suffixed key and are invisible to full-quality requests.
-    auto storeLookup = [&](const Pending &p, std::string_view evalKey,
-                           accel::InferenceResult &out) {
-        const std::string_view keys[2] = {
-            p.key, p.degrade ? evalKey : std::string_view()};
-        for (std::string_view k : keys) {
-            if (k.empty())
-                continue;
-            std::string bytes;
-            // The persistent store is a cold-path file store; it keeps
-            // its std::string API and pays one key copy per probe.
-            if (diskCache_->get(std::string(k), bytes) &&
-                accel::deserializeInferenceResult(bytes, out)) {
-                TraceRecorder::global().instant(p.traceId,
-                                                "schedule_l2_hit");
-                return true;
-            }
-        }
-        return false;
-    };
-
     // One wave-scoped arena owns every request's canonical key bytes:
     // the key and its "|greedy" degraded twin are interned as a single
-    // contiguous block per request, so Pending::key, the eval key, and
-    // the coalescing-map keys are all views of the same bytes — one
+    // contiguous block per request, so the key, the eval key, and the
+    // coalescing-map keys are all views of the same bytes — one
     // bump allocation per request where key construction previously
     // cost a handful of string allocations (ROADMAP hot-path (c)).
     // The scratch build buffer is reused across the wave, so its
@@ -739,28 +687,16 @@ EvalService::serveWave(std::vector<Pending> &&wave)
                                 p.req.batch);
         const std::string_view block =
             keyArena.intern2(keyScratch, kGreedySuffix);
-        p.key = block.substr(0, keyScratch.size());
-        p.digest = accel::requestDigest(p.key);
-        // Degraded evaluations are keyed (store and coalescing
-        // groups) under the canonical key plus "|greedy", so the two
-        // paths never collide in the store or share a wave item.
-        const std::string_view evalKey = p.degrade ? block : p.key;
-        accel::InferenceResult stored;
-        if (diskCache_ && storeLookup(p, evalKey, stored)) {
-            resolveOk(std::move(p), std::move(stored), /*cache_hit=*/true,
-                      /*coalesced=*/false);
-            continue;
-        }
+        const std::string_view key = block.substr(0, keyScratch.size());
+        p.digest = accel::requestDigest(key);
+        // Degraded evaluations coalesce under the canonical key plus
+        // "|greedy", so the two paths never share a wave item.
+        const std::string_view evalKey = p.degrade ? block : key;
         auto [it, fresh] = group_of.emplace(evalKey, groups.size());
-        if (fresh) {
+        if (fresh)
             groups.emplace_back();
-            groups.back().evalKey = evalKey;
-        }
-        groups[it->second].members.push_back(std::move(p));
+        groups[it->second].push_back(std::move(p));
     }
-    if (groups.empty())
-        return;
-
     metrics_.recordWave(groups.size());
 
     // Evaluate one coalescing group and resolve its members. The
@@ -769,7 +705,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
     // unsampled head still gets its serve span, just not the
     // schedule/execute internals.
     auto serveGroup = [&](Group &g) {
-        const Pending &head = g.members.front();
+        const Pending &head = g.front();
         TraceRecorder::TraceScope trace(head.traceId);
         accel::InferenceResult res = accel::runInference(
             head.req.cfg, head.req.model, head.req.batch,
@@ -777,23 +713,19 @@ EvalService::serveWave(std::vector<Pending> &&wave)
                          : accel::SchedMode::Ilp);
         // The cost sample follows the group head; read its fields
         // before resolveOk moves them into the response. Degraded
-        // groups store under the "|greedy" key and feed the greedy
-        // shape EWMA, keeping both paths' cost models separate.
-        if (diskCache_)
-            diskCache_->put(std::string(g.evalKey),
-                            accel::serializeInferenceResult(res));
+        // groups feed the greedy shape EWMA, keeping both paths' cost
+        // models separate.
         std::string shapeKey =
             accel::requestShapeKey(head.req.model, head.req.batch);
         if (head.degrade)
             shapeKey += "|greedy";
         estimator_.recordService(shapeKey,
                                  msBetween(dispatch, Clock::now()));
-        const std::size_t n = g.members.size();
+        const std::size_t n = g.size();
         for (std::size_t k = 0; k + 1 < n; ++k)
-            resolveOk(std::move(g.members[k]), res, /*cache_hit=*/false,
-                      /*coalesced=*/k > 0);
-        resolveOk(std::move(g.members.back()), std::move(res),
-                  /*cache_hit=*/false, /*coalesced=*/n > 1);
+            resolveOk(std::move(g[k]), res, /*coalesced=*/k > 0);
+        resolveOk(std::move(g.back()), std::move(res),
+                  /*coalesced=*/n > 1);
     };
 
     try {
@@ -822,7 +754,7 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         // admitted == completed + shed + expired + failed accounting
         // stays closed.
         for (auto &g : groups) {
-            for (auto &p : g.members) {
+            for (auto &p : g) {
                 try {
                     p.promise.set_exception(std::current_exception());
                 } catch (const std::future_error &) {

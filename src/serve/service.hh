@@ -26,9 +26,7 @@
  *  - Repeat serving: identical requests in one wave are coalesced
  *    into a single evaluation, and runInference's process-wide
  *    layer-schedule memo makes a repeated sweep point cost memo
- *    lookups, not ILP solves. ServiceConfig::diskCachePath adds an
- *    optional persistent store keyed on accel::requestKey, so a
- *    restarted process warm-starts.
+ *    lookups, not ILP solves.
  *  - Metrics: per-request latency (p50/p95/p99), throughput, queue
  *    depth, and the share of requests served without computing a
  *    layer schedule (cache hit rate, serve/metrics.hh),
@@ -39,10 +37,10 @@
  * through the same path, and the request key covers every
  * result-relevant input byte (see accel/hash.hh). A degraded request
  * (graceful degradation, ServiceConfig::degradePolicy) is likewise
- * bit-identical to runInference(cfg, model, batch, SchedMode::Greedy);
- * degraded results are stored under a distinct key ("<key>|greedy"),
- * though a degraded request is happy to take an already-stored
- * optimal result — better quality at the same (~zero) cost.
+ * bit-identical to runInference(cfg, model, batch, SchedMode::Greedy).
+ * Degraded requests coalesce and feed the cost estimator under a
+ * distinct key ("<key>|greedy"), so they never share an evaluation
+ * with a full-quality request.
  */
 
 #ifndef SMART_SERVE_SERVICE_HH
@@ -50,11 +48,9 @@
 
 #include <chrono>
 #include <map>
-#include <memory>
 #include <thread>
 
 #include "accel/batch.hh"
-#include "common/diskcache.hh"
 #include "common/threadsafety.hh"
 #include "serve/estimator.hh"
 #include "serve/metrics.hh"
@@ -170,15 +166,6 @@ struct ServiceConfig
      */
     DegradePolicy degradePolicy = DegradePolicy::Off;
     /**
-     * Path of the persistent result store (common/diskcache.hh).
-     * Empty disables it. When set, evaluated results are appended to
-     * the on-disk log and every request consults it before
-     * evaluating, so a restarted process warm-starts instead of
-     * re-solving; its hits count in the snapshot's cacheHits, and its
-     * hit/miss/corrupt-skipped counters surface as l2_*.
-     */
-    std::string diskCachePath;
-    /**
      * Request-tracing sample rate: record a full span timeline
      * (submit → admission → queue wait → schedule → execute →
      * complete) for every Nth submission via the process-wide
@@ -273,7 +260,7 @@ class EvalService
     void finish(Pending &&p, ResponseStatus status);
     /** Drop one request from the drain count (after its promise is set). */
     void releaseDrainSlot();
-    /** Evaluate one wave: store lookups, coalescing, evaluation. */
+    /** Evaluate one wave: key, coalesce, evaluate. */
     void serveWave(std::vector<Pending> &&wave);
     /**
      * One SLO adaptation step (no-op until a full window of Ok
@@ -333,8 +320,6 @@ class EvalService
 
     ServiceConfig cfg_;
     RequestQueue queue_;
-    /** Persistent result store; null when disabled. */
-    std::unique_ptr<DiskCache> diskCache_;
     CostEstimator estimator_;
     ServiceMetrics metrics_;
 

@@ -42,7 +42,9 @@ decomposeWindow(const ConvLayer &layer, std::uint64_t w)
 /**
  * Flat NHWC (h, w, c) input address, or -1 when in the padding. NHWC is
  * the natural layout for weight-stationary streaming and is the
- * generous assumption for the SHIFT baseline (DESIGN.md Sec. 3).
+ * generous assumption for the SHIFT baseline: channels are innermost,
+ * so the channel run of one window pixel streams past the port in
+ * consecutive shift steps.
  */
 std::int64_t
 inputAddr(const ConvLayer &layer, const WindowElem &e, int oh, int ow,

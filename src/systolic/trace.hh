@@ -73,8 +73,9 @@ struct ShiftReplayParams
      * Bytes the layer actually occupies in the array. The compiler taps
      * the feedback loop at the occupied region, so the ring recirculates
      * over min(laneBytes, dataBytes / banks) stages rather than the full
-     * physical lane (a generous assumption for the SHIFT baseline,
-     * documented in DESIGN.md). 0 means the full lane.
+     * physical lane. This is a generous assumption for the SHIFT
+     * baseline: a shorter ring means fewer shift steps per access.
+     * 0 means the full lane.
      */
     std::uint64_t dataBytes = 0;
 };

@@ -23,4 +23,6 @@ bad()
     (void)latencyPs;
 }
 
+// The derivation is written up in NO_SUCH_DESIGN.md (a dangling doc).
+
 void escape() SMART_NO_THREAD_SAFETY_ANALYSIS;

@@ -1,7 +1,8 @@
 // Lint self-test fixture: exercises every compliant form — deleted
 // functions, suppressions, rationale comments, tsa justifications,
 // and rule-triggering tokens inside comments/strings (which the lint
-// must ignore: new, delete, std::endl, std::mutex, memory_order_relaxed).
+// must ignore: new, delete, std::endl, std::mutex, memory_order_relaxed),
+// and doc references that resolve.
 // Must lint clean. Never built.
 
 #include <atomic>
@@ -21,7 +22,10 @@ good()
     // lint-allow(naked-delete): matching free for the fixture above.
     delete p;
 
+    // See README.md and smartbench/README.md: documents that exist.
     const char *s = "std::endl and new and delete and std::mutex";
+    const char *doc = "NO_SUCH_DESIGN.md"; // a string, not a comment
+    (void)doc;
     (void)s;
 
     std::atomic<int> x{0};

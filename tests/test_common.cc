@@ -48,34 +48,8 @@ TEST(Units, CellAreaFromF2)
 TEST(Stats, MeanAndGeomean)
 {
     std::vector<double> xs{1.0, 2.0, 4.0};
-    EXPECT_DOUBLE_EQ(mean(xs), 7.0 / 3.0);
     EXPECT_DOUBLE_EQ(geomean(xs), 2.0);
     EXPECT_DOUBLE_EQ(geomean({}), 0.0);
-}
-
-TEST(Stats, Stddev)
-{
-    EXPECT_DOUBLE_EQ(stddev({5.0}), 0.0);
-    EXPECT_NEAR(stddev({1.0, 3.0}), 1.0, 1e-12);
-}
-
-TEST(Stats, RelError)
-{
-    EXPECT_NEAR(relError(1.05, 1.0), 0.05, 1e-12);
-    EXPECT_NEAR(relError(0.9, 1.0), 0.1, 1e-12);
-}
-
-TEST(Stats, AccumTracksMinMaxMean)
-{
-    Accum a;
-    EXPECT_EQ(a.count(), 0u);
-    EXPECT_DOUBLE_EQ(a.mean(), 0.0);
-    for (double x : {3.0, 1.0, 2.0})
-        a.add(x);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 3.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 2.0);
 }
 
 TEST(Table, AlignedPrinting)

@@ -15,7 +15,6 @@
 
 #include <chrono>
 #include <cstdlib>
-#include <deque>
 #include <string>
 #include <thread>
 #include <vector>
@@ -57,13 +56,6 @@ makePending(serve::Priority pr, std::uint64_t seq,
                                std::chrono::duration<double, std::milli>(
                                    deadline_in_ms))
                      : Clock::time_point::max();
-    // Pending::key is a view into the dispatcher's wave arena in
-    // production; these queue-only tests intern their synthetic keys
-    // in a leaky store with stable addresses instead.
-    static std::deque<std::string> *key_store =
-        new std::deque<std::string>();
-    key_store->push_back("k" + std::to_string(seq));
-    p.key = key_store->back();
     return p;
 }
 
@@ -417,7 +409,7 @@ TEST(EvalService, RepeatedSweepServedFromScheduleMemo)
         for (auto &f : futures) {
             auto resp = f.get();
             ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-            // No persistent store: every request is evaluated.
+            // Every request is evaluated; cacheHit is always false.
             EXPECT_FALSE(resp.cacheHit);
             if (pass == 0)
                 firstPassSchedules += resp.result.schedulesComputed;

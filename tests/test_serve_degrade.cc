@@ -2,23 +2,19 @@
  * @file
  * Graceful-degradation tests for the evaluation service: anytime
  * (greedy) scheduling under DegradePolicy Off/Auto (the hopeless
- * rescue), suggested-deadline resubmits, and the persistent result
- * store across restarts (including injected corruption). Companion
- * to tests/test_serve.cc, which covers the non-degraded serve path.
+ * rescue) and suggested-deadline resubmits. Companion to
+ * tests/test_serve.cc, which covers the non-degraded serve path.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <initializer_list>
 #include <string>
 #include <vector>
 
 #include "accel/hash.hh"
 #include "accel/perf.hh"
-#include "common/faultinject.hh"
 #include "common/logging.hh"
 #include "serve/service.hh"
 #include "serve/trace.hh"
@@ -84,15 +80,6 @@ rescueConfig()
     cfg.sloP95Ms = 2000.0;
     cfg.degradePolicy = serve::DegradePolicy::Auto;
     return cfg;
-}
-
-std::string
-cachePath(const std::string &name)
-{
-    const std::string p = ::testing::TempDir() + "smart_l2_" + name;
-    std::remove(p.c_str());
-    std::remove((p + ".tmp").c_str());
-    return p;
 }
 
 // ------------------------------------------------------------------
@@ -164,7 +151,7 @@ TEST(EvalServiceDegrade, AutoRescuesHopelessBurstAsServedDegraded)
         auto resp = f.get();
         ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
         EXPECT_TRUE(resp.degraded);
-        EXPECT_EQ(resp.quality, compiler::Quality::Greedy);
+        EXPECT_EQ(resp.result.schedQuality, compiler::Quality::Greedy);
         EXPECT_EQ(resp.tag, "burst");
     }
 
@@ -243,15 +230,27 @@ TEST(EvalServiceDegrade, RescuedRequestBitIdenticalToDirectGreedyRun)
     auto net = cnn::convLayersOnly(cnn::makeAlexNet());
 
     serve::EvalService svc(rescueConfig());
-    teachIlpHopeless(svc, net, {2});
+
+    // Batch 1 is served first, while the estimator is cold: nothing is
+    // hopeless yet, so it runs at full quality.
+    auto seeded = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
+    ASSERT_EQ(seeded.admission, serve::Admission::Admitted);
+    auto optimal = seeded.response.get();
+    ASSERT_EQ(optimal.status, serve::ResponseStatus::Ok);
+    EXPECT_FALSE(optimal.degraded);
+    EXPECT_EQ(optimal.result.schedQuality, compiler::Quality::Optimal);
+
+    // The seed's real sample and the 60 s one fold into an EWMA still
+    // far over the 2 s target, so both shapes are rescued from here on.
+    teachIlpHopeless(svc, net, {1, 2});
 
     auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 2));
     ASSERT_EQ(sub.admission, serve::Admission::ServedDegraded);
     auto resp = sub.response.get();
     ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
     EXPECT_TRUE(resp.degraded);
-    EXPECT_EQ(resp.quality, compiler::Quality::Greedy);
-    EXPECT_LT(resp.gapBound, 0.0); // plain greedy: no LP bound
+    EXPECT_EQ(resp.result.schedQuality, compiler::Quality::Greedy);
+    EXPECT_LT(resp.result.schedGapBound, 0.0); // plain greedy: no LP bound
 
     // The degraded determinism contract (service.hh): bit-identical
     // to a direct greedy-mode runInference.
@@ -271,45 +270,24 @@ TEST(EvalServiceDegrade, RescuedRequestBitIdenticalToDirectGreedyRun)
     ASSERT_EQ(repeat.status, serve::ResponseStatus::Ok);
     EXPECT_FALSE(repeat.cacheHit);
     EXPECT_TRUE(repeat.degraded);
-    EXPECT_EQ(repeat.quality, compiler::Quality::Greedy);
+    EXPECT_EQ(repeat.result.schedQuality, compiler::Quality::Greedy);
     expectIdentical(repeat.result, direct);
-}
 
-TEST(EvalServiceDegrade, CachedOptimalResultServesDegradeMarkedRequest)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeAlexNet());
-    const std::string path = cachePath("optimal_for_degraded");
-
-    serve::ServiceConfig cfg = rescueConfig();
-    cfg.diskCachePath = path;
-    serve::EvalService svc(cfg);
-
-    // Populate the optimal store entry first, while the estimator is
-    // cold: nothing is hopeless yet, so it is served at full quality.
-    auto seeded = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
-    ASSERT_EQ(seeded.admission, serve::Admission::Admitted);
-    auto optimal = seeded.response.get();
-    ASSERT_EQ(optimal.status, serve::ResponseStatus::Ok);
-    EXPECT_FALSE(optimal.degraded);
-
-    // Once the ILP path is known to be hopeless, a twin is rescued
-    // (degrade-marked) at submit, and takes the already-stored optimal
-    // result: better quality at the same (store-hit) cost, and
-    // honestly NOT counted as degraded — no greedy schedule was ever
-    // served. (The seed's real sample and the 60 s one fold into an
-    // EWMA still far over the 2 s target.)
-    teachIlpHopeless(svc, net, {1});
-    auto sub = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
-    ASSERT_EQ(sub.admission, serve::Admission::ServedDegraded);
-    auto resp = sub.response.get();
-    ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-    EXPECT_TRUE(resp.cacheHit);
-    EXPECT_EQ(resp.quality, compiler::Quality::CacheHit);
-    EXPECT_FALSE(resp.degraded);
-    expectIdentical(resp.result, optimal.result);
-    EXPECT_EQ(svc.metrics().servedDegraded, 0u);
-    std::remove(path.c_str());
+    // The shape served at full quality above is now rescued too, and
+    // its earlier optimal evaluation does not stand in for the greedy
+    // one: the response is degraded and bit-identical to a direct
+    // greedy run.
+    auto rescued = svc.submit(makeRequest(accel::Scheme::Smart, net, 1));
+    ASSERT_EQ(rescued.admission, serve::Admission::ServedDegraded);
+    auto degraded = rescued.response.get();
+    ASSERT_EQ(degraded.status, serve::ResponseStatus::Ok);
+    EXPECT_TRUE(degraded.degraded);
+    EXPECT_EQ(degraded.result.schedQuality, compiler::Quality::Greedy);
+    expectIdentical(degraded.result,
+                    accel::runInference(
+                        accel::makeScheme(accel::Scheme::Smart), net, 1,
+                        accel::SchedMode::Greedy));
+    EXPECT_EQ(svc.metrics().servedDegraded, 3u);
 }
 
 // ------------------------------------------------------------------
@@ -355,114 +333,6 @@ TEST(EvalServiceDegrade, SuggestedDeadlineResubmitIsNotDegraded)
     ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
     EXPECT_FALSE(resp.degraded);
     EXPECT_EQ(filler.response.get().status, serve::ResponseStatus::Ok);
-}
-
-// ------------------------------------------------------------------
-// Persistent L2: warm starts and corruption tolerance
-// ------------------------------------------------------------------
-
-TEST(EvalServiceDegrade, DiskCacheWarmStartsAcrossRestart)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeAlexNet());
-    const std::string path = cachePath("warmstart");
-
-    serve::ServiceConfig cfg;
-    cfg.diskCachePath = path;
-
-    std::vector<serve::EvalRequest> reqs;
-    for (auto s : {accel::Scheme::Smart, accel::Scheme::Sram,
-                   accel::Scheme::SuperNpu})
-        for (int b : {1, 2})
-            reqs.push_back(makeRequest(s, net, b));
-
-    std::vector<accel::InferenceResult> first;
-    {
-        serve::EvalService svc(cfg);
-        for (auto &r : reqs) {
-            auto sub = svc.submit(r);
-            ASSERT_TRUE(sub.admitted());
-            auto resp = sub.response.get();
-            ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-            first.push_back(std::move(resp.result));
-        }
-        const auto m = svc.metrics();
-        EXPECT_EQ(m.l2Puts, reqs.size());
-        EXPECT_EQ(m.l2Entries, reqs.size());
-    }
-
-    // A fresh process over the same log: every request is a store
-    // hit, so the restart serves stored results without re-solving.
-    serve::EvalService svc(cfg);
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-        auto sub = svc.submit(reqs[i]);
-        ASSERT_TRUE(sub.admitted());
-        auto resp = sub.response.get();
-        ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-        EXPECT_TRUE(resp.cacheHit) << "request " << i;
-        EXPECT_EQ(resp.quality, compiler::Quality::CacheHit);
-        expectIdentical(resp.result, first[i]);
-    }
-    const auto m = svc.metrics();
-    // ISSUE acceptance bar is >= 50% L2 hits; with an intact log it
-    // is all of them.
-    EXPECT_GE(m.l2Hits, reqs.size() / 2);
-    EXPECT_EQ(m.l2Hits, reqs.size());
-    EXPECT_EQ(m.l2CorruptSkipped, 0u);
-    std::remove(path.c_str());
-}
-
-TEST(EvalServiceDegrade, DiskCacheCorruptionToleratedOnRestart)
-{
-    setInformEnabled(false);
-    auto net = cnn::convLayersOnly(cnn::makeAlexNet());
-    const std::string path = cachePath("corrupt");
-
-    serve::ServiceConfig cfg;
-    cfg.diskCachePath = path;
-
-    // An ODD number of requests: with every append torn, each
-    // even-numbered put self-heals the previous tear by compacting
-    // (and skips its own append), so an odd count guarantees the
-    // surviving log ends in a torn tail — the crash shape under test.
-    std::vector<serve::EvalRequest> reqs;
-    reqs.push_back(makeRequest(accel::Scheme::Smart, net, 1));
-    reqs.push_back(makeRequest(accel::Scheme::Smart, net, 2));
-    reqs.push_back(makeRequest(accel::Scheme::Sram, net, 1));
-
-    // Serve the working set with EVERY append torn mid-record: the
-    // log that survives the "crash" is clean except for its tail.
-    {
-        serve::EvalService svc(cfg);
-        FaultInjector::Config faults;
-        faults.diskTornWriteProb = 1.0;
-        FaultInjector::global().configure(faults);
-        for (auto &r : reqs) {
-            auto sub = svc.submit(r);
-            ASSERT_TRUE(sub.admitted());
-            ASSERT_EQ(sub.response.get().status,
-                      serve::ResponseStatus::Ok);
-        }
-        svc.drain();
-        FaultInjector::global().reset();
-    }
-
-    // Restart: the torn tail is skipped and counted, every intact
-    // record warm-starts, and the lost one is simply re-evaluated.
-    serve::EvalService svc(cfg);
-    std::size_t hits = 0;
-    for (auto &r : reqs) {
-        auto sub = svc.submit(r);
-        ASSERT_TRUE(sub.admitted());
-        auto resp = sub.response.get();
-        ASSERT_EQ(resp.status, serve::ResponseStatus::Ok);
-        hits += resp.cacheHit ? 1 : 0;
-    }
-    const auto m = svc.metrics();
-    EXPECT_GE(m.l2CorruptSkipped, 1u);
-    EXPECT_GE(hits, reqs.size() - 1);  // only the torn tail lost
-    EXPECT_GE(hits, reqs.size() / 2);  // the ISSUE acceptance bar
-    std::remove(path.c_str());
 }
 
 // ------------------------------------------------------------------

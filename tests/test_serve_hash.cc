@@ -48,7 +48,7 @@ baseModel()
 // ----------------------------------------------------------------
 // Reference formatter: the snprintf key builder the to_chars one
 // replaced, kept verbatim so the key bytes (and with them the
-// persistent store, EvalResponse::digest and incident digests) are
+// coalescing groups, EvalResponse::digest and incident digests) are
 // pinned against it.
 // ----------------------------------------------------------------
 
