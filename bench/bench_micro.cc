@@ -294,8 +294,13 @@ jsonMain(int argc, char **argv)
     // after one cold pass (deterministic at any thread count; a rise
     // means a key change split layers that share a schedule), then the
     // median wall time of re-running the grid with the memo full.
+    // figure_grid_config_builds counts the configuration costs derived
+    // over the cold and the five warm passes: one per configuration
+    // with costs (Sram, Heter, Pipe, Smart), so a rise means a warm
+    // pass re-derived what the memo held.
     const auto singleGrid = bench::figureGrid(false);
     accel::clearIlpCache();
+    const std::uint64_t configsBefore = accel::configCacheInserts();
     accel::runBatch(singleGrid);
     metrics.push_back({"figure_grid_memo_entries",
                        static_cast<double>(accel::ilpCacheSize())});
@@ -306,6 +311,9 @@ jsonMain(int argc, char **argv)
         warmMs.push_back(timer.ms());
     }
     metrics.push_back({"figure_grid_warm_ms", medianOf(warmMs)});
+    metrics.push_back(
+        {"figure_grid_config_builds",
+         static_cast<double>(accel::configCacheInserts() - configsBefore)});
 
     timer.reset();
     cryo::CmosSfqArrayConfig base;

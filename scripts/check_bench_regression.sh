@@ -46,12 +46,15 @@
 #    computes into the memo (serve_replay_warm_schedules and
 #    serve_mt_replay_warm_schedules, expected 0: the memo is the cache
 #    that serves repeated requests, and a rise means repeats stopped
-#    reaching it), and the scheduler tasks 64 sequential memo-hit
+#    reaching it), the scheduler tasks 64 sequential memo-hit
 #    submits run (serve_memo_hit_tasks, expected 0 at any thread
 #    count: a one-group wave is served on the dispatcher and memo-hit
-#    layers evaluate inline). They are exact functions of the code, so a count
-#    fails as soon as it rises at all, and counts are judged across
-#    hosts like ratios.
+#    layers evaluate inline), and the configuration costs one cold and
+#    five warm single-image grids derive (figure_grid_config_builds,
+#    expected 4: one per configuration with derived costs, so a rise
+#    means warm passes re-derive them). They are exact functions of
+#    the code, so a count fails as soon as it rises at all, and counts
+#    are judged across hosts like ratios.
 #
 # figure_grid_warm_ms (the warm-memo grid re-run) is charted by
 # plot_bench_history.py but not gated yet.
@@ -85,7 +88,7 @@ RATIO_METRICS="serve_tslo_resubmit_ok_rate serve_degrade_rate"
 COUNT_METRICS="ilp_bnb_batch_nodes ilp_bnb_batch_pivots ilp_grid_pivots \
 ilp_grid_nodes ilp_grid_lp_replays figure_grid_memo_entries \
 serve_replay_warm_schedules serve_mt_replay_warm_schedules \
-serve_memo_hit_tasks"
+serve_memo_hit_tasks figure_grid_config_builds"
 MIN_DELTA_MS=2
 MAX_RATIO_DROP=0.10
 # Tracer-overhead budget: the traced uncached replay may cost at

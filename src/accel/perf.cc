@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
+#include <memory>
 #include <optional>
+#include <type_traits>
 
 #include "common/logging.hh"
 #include "common/parallel.hh"
@@ -147,8 +150,8 @@ schedParams(const AcceleratorConfig &cfg, const RandomTiming &rt)
 }
 
 /**
- * What runLayer derives from the configuration alone: built once per
- * runInference and shared by all of its layers.
+ * What runLayer derives from the configuration alone: derived once per
+ * distinct configuration and memoized process-wide (configCosts).
  */
 struct ConfigCosts
 {
@@ -159,11 +162,9 @@ struct ConfigCosts
 };
 
 ConfigCosts
-configCosts(const AcceleratorConfig &cfg)
+deriveConfigCosts(const AcceleratorConfig &cfg)
 {
     ConfigCosts c;
-    if (cfg.scheme == Scheme::Tpu || cfg.scheme == Scheme::SuperNpu)
-        return c;
     const bool sram = cfg.scheme == Scheme::Sram;
     c.rt = randomTiming(cfg, sram ? cfg.inputSpm : cfg.randomArray,
                         cfg.randomTech);
@@ -172,6 +173,62 @@ configCosts(const AcceleratorConfig &cfg)
         c.schedKey = c.sp.cacheKey();
     }
     return c;
+}
+
+/** Assign the bytes of @p fields, back to back, to @p key. */
+template <typename... Field>
+void
+assignFieldBytes(std::string &key, const Field &...fields)
+{
+    // Scalars only: a struct would bring its padding bytes along.
+    static_assert((std::is_scalar_v<Field> && ...));
+    char buf[(sizeof(Field) + ...)];
+    char *p = buf;
+    ((std::memcpy(p, &fields, sizeof fields), p += sizeof fields), ...);
+    key.assign(buf, sizeof buf);
+}
+
+/**
+ * Build the config-memo key of @p cfg into @p key: every numeric field
+ * but `name`, whether or not the derivation reads it. An unread field
+ * only splits entries; a missing one could alias two configurations.
+ */
+void
+configMemoKey(std::string &key, const AcceleratorConfig &cfg)
+{
+    const CalibrationKnobs &k = cfg.knobs;
+    assignFieldBytes(
+        key, cfg.scheme, cfg.pe.rows, cfg.pe.cols, cfg.clockGhz.value(),
+        cfg.temperatureK, cfg.coolingFactor, cfg.inputSpm.capacityBytes,
+        cfg.inputSpm.banks, cfg.outputSpm.capacityBytes,
+        cfg.outputSpm.banks, cfg.weightSpm.capacityBytes,
+        cfg.weightSpm.banks, cfg.spmsAreShift,
+        cfg.randomArray.capacityBytes, cfg.randomArray.banks,
+        cfg.randomTech, cfg.randomWriteLatencyNsOverride.value(),
+        cfg.prefetchIterations, cfg.useIlpCompiler, cfg.dramBandwidthGBs,
+        k.dauWindowBytes, k.interLayerReorderFactor, k.tpuEfficiency,
+        k.shiftSegmentBytes, k.leakageActivityFactor,
+        k.randomOutstanding);
+}
+
+/** Configuration-cost memo, shared by every evaluation worker. */
+ShardedCache<std::shared_ptr<const ConfigCosts>> config_cache;
+
+/**
+ * The costs of @p cfg, derived on the first request for a distinct
+ * configuration and looked up after that. @p key is scratch space.
+ */
+std::shared_ptr<const ConfigCosts>
+configCosts(const AcceleratorConfig &cfg, std::string &key)
+{
+    // Tpu and SuperNpu read no derived cost.
+    static const auto none = std::make_shared<const ConfigCosts>();
+    if (cfg.scheme == Scheme::Tpu || cfg.scheme == Scheme::SuperNpu)
+        return none;
+    configMemoKey(key, cfg);
+    return config_cache.getOrCompute(key, [&] {
+        return std::make_shared<const ConfigCosts>(deriveConfigCosts(cfg));
+    });
 }
 
 // ----------------------------------------------------------------
@@ -305,14 +362,18 @@ weightDram(const AcceleratorConfig &cfg,
 compiler::SchedParams
 ilpSchedParams(const AcceleratorConfig &cfg)
 {
-    return schedParams(cfg,
-                       randomTiming(cfg, cfg.randomArray, cfg.randomTech));
+    std::string key;
+    const std::shared_ptr<const ConfigCosts> costs = configCosts(cfg, key);
+    smart_assert(!costs->schedKey.empty(), cfg.name,
+                 " runs no ILP compiler pass");
+    return costs->sp;
 }
 
 void
 clearIlpCache()
 {
     ilp_cache.clear();
+    config_cache.clear();
 }
 
 std::size_t
@@ -325,6 +386,12 @@ std::uint64_t
 ilpCacheInserts()
 {
     return ilp_cache.inserts();
+}
+
+std::uint64_t
+configCacheInserts()
+{
+    return config_cache.inserts();
 }
 
 namespace
@@ -573,7 +640,8 @@ runLayer(const AcceleratorConfig &cfg, const systolic::ConvLayer &layer,
          int batch, SchedMode mode)
 {
     bool scheduled = false;
-    return runLayerWith(cfg, configCosts(cfg), layer, batch, mode,
+    std::string key;
+    return runLayerWith(cfg, *configCosts(cfg, key), layer, batch, mode,
                         nullptr, scheduled);
 }
 
@@ -602,10 +670,11 @@ runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
     // hit (looked up once) or a layer that schedules nothing costs
     // less than a task hand-off and runs inline. A schedule still in
     // flight on another thread counts as a miss.
-    const ConfigCosts costs = configCosts(cfg);
+    std::string key;
+    const std::shared_ptr<const ConfigCosts> held = configCosts(cfg, key);
+    const ConfigCosts &costs = *held;
     res.layers.resize(model.layers.size());
     std::vector<std::size_t> misses;
-    std::string key;
     for (std::size_t i = 0; i < model.layers.size(); ++i) {
         std::optional<SchedOutcome> hit;
         if (!costs.schedKey.empty()) {

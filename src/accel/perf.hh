@@ -132,10 +132,17 @@ LayerResult runLayer(const AcceleratorConfig &cfg,
 /**
  * Scheduler parameters the ILP compiler pass runs with on @p cfg: the
  * SHIFT/RANDOM capacities and access costs of its memory hierarchy.
+ * @p cfg must run the ILP compiler (a RANDOM-array scheme with
+ * useIlpCompiler set).
  */
 compiler::SchedParams ilpSchedParams(const AcceleratorConfig &cfg);
 
-/** Clear the internal ILP-schedule memo cache (tests). */
+/**
+ * Clear the internal memos (tests and cold benchmarks): the
+ * ILP-schedule memo and the per-configuration cost memo (RANDOM array
+ * timing, scheduler parameters and their key text, derived once per
+ * distinct configuration).
+ */
 void clearIlpCache();
 
 /** Entries in the ILP-schedule memo cache (tests and CI counters). */
@@ -148,6 +155,13 @@ std::size_t ilpCacheSize();
  * memo is at its cap.
  */
 std::uint64_t ilpCacheInserts();
+
+/**
+ * Configuration costs ever derived into the cost memo (monotonic,
+ * like ilpCacheInserts()): one per distinct configuration a run
+ * evaluates while the memo holds it.
+ */
+std::uint64_t configCacheInserts();
 
 } // namespace smart::accel
 

@@ -1,8 +1,9 @@
 /**
  * @file
  * The concurrency-safe memo cache shared by the parallel evaluation
- * workers (ShardedCache): the process-wide layer-schedule memo is the
- * one in-process cache on both the figure-grid and the serving path.
+ * workers (ShardedCache): the process-wide layer-schedule memo and
+ * configuration-cost memo are the in-process caches on both the
+ * figure-grid and the serving path.
  * The execution substrate itself — the work-stealing TaskScheduler,
  * TaskGroup, and pFor — lives in common/taskgraph.hh.
  */
@@ -27,7 +28,8 @@ namespace smart
 
 /**
  * String-keyed memo cache with sharded mutexes, shared by all
- * evaluation workers (the layer-schedule memo in accel/perf.cc).
+ * evaluation workers (the layer-schedule and configuration-cost memos
+ * in accel/perf.cc).
  * Values are computed outside the shard lock, so a slow miss never
  * serializes unrelated lookups. Each key is computed once while
  * resident: a miss publishes an in-flight future under the lock, and

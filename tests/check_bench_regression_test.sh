@@ -9,9 +9,9 @@
 # regression, fail on a >10-point ratio drop, and tolerate a small
 # ratio dip; host-stamp mismatches must skip rather than judge. Work
 # counts (solver work, figure-grid ILP pivots, B&B nodes and LP
-# replays, memo entries, the layer schedules a warm serve replay adds
-# and the scheduler tasks memo-hit submits run) fail on any rise, on
-# any host.
+# replays, memo entries, the layer schedules a warm serve replay adds,
+# the scheduler tasks memo-hit submits run and the configuration costs
+# the figure grids derive) fail on any rise, on any host.
 set -eu
 
 script="${1:?usage: $0 /path/to/check_bench_regression.sh}"
@@ -253,6 +253,24 @@ check "flat memo-hit task count passes" 0 "$tmp/memotasksflat.jsonl" 25
 } > "$tmp/memotasksup.jsonl"
 check "rising memo-hit task count fails across hosts" 1 \
       "$tmp/memotasksup.jsonl" 25
+
+configbuilds() {
+    # History line for host "$1" with grid configuration builds "$2".
+    printf '{"sha": "x", "host": "%s", "report": {"metrics": {"figure_grid_config_builds": %s}}}\n' \
+        "$1" "$2"
+}
+{
+    configbuilds hostA 4
+    configbuilds hostA 4
+} > "$tmp/configflat.jsonl"
+check "flat grid config-build count passes" 0 "$tmp/configflat.jsonl" 25
+
+{
+    configbuilds hostA 4
+    configbuilds hostB 24
+} > "$tmp/configup.jsonl"
+check "rising grid config-build count fails across hosts" 1 \
+      "$tmp/configup.jsonl" 25
 
 # --- boot stamps: a hostname alone is not a machine identity --------
 {

@@ -9,6 +9,7 @@
 
 #include "accel/perf.hh"
 #include "cnn/models.hh"
+#include "common/logging.hh"
 
 namespace
 {
@@ -244,6 +245,94 @@ TEST(Perf, MemoKeyAliasesNothing)
     const std::size_t before = ilpCacheSize();
     runLayer(slow_write, base, 1);
     EXPECT_EQ(ilpCacheSize(), before) << "write-latency override";
+    clearIlpCache();
+}
+
+/** Bit-identical simulated outputs (cycles, counters, schedule marks). */
+bool
+sameResult(const InferenceResult &a, const InferenceResult &b)
+{
+    if (a.totalCycles != b.totalCycles || a.seconds != b.seconds ||
+        a.layers.size() != b.layers.size())
+        return false;
+    for (std::size_t i = 0; i < a.layers.size(); ++i) {
+        const LayerResult &x = a.layers[i], &y = b.layers[i];
+        if (x.inputService != y.inputService ||
+            x.weightService != y.weightService ||
+            x.outputService != y.outputService ||
+            x.serialOverhead != y.serialOverhead ||
+            x.totalCycles != y.totalCycles ||
+            x.schedQuality != y.schedQuality ||
+            x.schedGapBound != y.schedGapBound ||
+            x.counters.shiftSteps != y.counters.shiftSteps ||
+            x.counters.randomReadBytes != y.counters.randomReadBytes)
+            return false;
+    }
+    return true;
+}
+
+TEST(Perf, ConfigMemoKeyAliasesNothing)
+{
+    // The per-configuration costs (RANDOM timing, scheduler parameters
+    // and their key) are memoized process-wide. Each variant differs
+    // from its base in one field those costs read, on a scheme where
+    // the field matters. Evaluated right after the base, it must equal
+    // its own evaluation from cold memos bit for bit (a key missing the
+    // field would hand it the base's costs), and it must differ from
+    // the base, or the check proves nothing.
+    setInformEnabled(false);
+    const auto model = cnn::convLayersOnly(cnn::makeAlexNet());
+    const AcceleratorConfig sram = makeScheme(Scheme::Sram);
+    const AcceleratorConfig pipe = makeScheme(Scheme::Pipe);
+    const AcceleratorConfig smart_cfg = makeSmart();
+    AcceleratorConfig no_ilp = makeSmart();
+    no_ilp.useIlpCompiler = false;
+    struct Variant
+    {
+        const AcceleratorConfig &base;
+        void (*mutate)(AcceleratorConfig &);
+        const char *what;
+    };
+    const Variant variants[] = {
+        {smart_cfg, [](AcceleratorConfig &c) { c.clockGhz = Gigahertz{40.0}; },
+         "clockGhz"},
+        {sram, [](AcceleratorConfig &c) { c.inputSpm.capacityBytes /= 4; },
+         "input SPM capacity"},
+        {sram, [](AcceleratorConfig &c) { c.inputSpm.banks /= 2; },
+         "input SPM banks"},
+        {pipe, [](AcceleratorConfig &c) { c.randomArray.capacityBytes /= 4; },
+         "RANDOM capacity"},
+        {pipe, [](AcceleratorConfig &c) { c.randomArray.banks /= 2; },
+         "RANDOM banks"},
+        {pipe,
+         [](AcceleratorConfig &c) { c.randomTech = cryo::MemTech::JcsSram; },
+         "randomTech"},
+        {pipe,
+         [](AcceleratorConfig &c) {
+             c.randomWriteLatencyNsOverride = Nanoseconds{3.0};
+         },
+         "randomWriteLatencyNsOverride"},
+        {smart_cfg, [](AcceleratorConfig &c) { c.prefetchIterations = 1; },
+         "prefetchIterations"},
+        {no_ilp, [](AcceleratorConfig &c) { c.useIlpCompiler = true; },
+         "useIlpCompiler"},
+        {smart_cfg, [](AcceleratorConfig &c) { c.dramBandwidthGBs = 3.0; },
+         "dramBandwidthGBs"},
+        {sram,
+         [](AcceleratorConfig &c) { c.knobs.randomOutstanding = 1.0; },
+         "knobs.randomOutstanding"},
+    };
+    for (const Variant &v : variants) {
+        AcceleratorConfig cfg = v.base;
+        v.mutate(cfg);
+        clearIlpCache();
+        const InferenceResult base = runInference(v.base, model, 1);
+        const InferenceResult after_base = runInference(cfg, model, 1);
+        clearIlpCache();
+        const InferenceResult cold = runInference(cfg, model, 1);
+        EXPECT_TRUE(sameResult(after_base, cold)) << v.what;
+        EXPECT_FALSE(sameResult(base, cold)) << v.what;
+    }
     clearIlpCache();
 }
 

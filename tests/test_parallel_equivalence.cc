@@ -154,6 +154,70 @@ TEST(ParallelEquivalence, NestedGridRunBatchMatchesSerial)
     }
 }
 
+TEST(ParallelEquivalence, ColdGridDerivesEachConfigurationOnce)
+{
+    // The 72-point Figs. 18-21 grid (every model x every scheme, at
+    // batch 1 and at the paper's batch) has four configurations with
+    // derived costs: Sram, Heter, Pipe and Smart (Tpu and SuperNpu
+    // read none). From cold memos each is derived exactly once,
+    // however many workers race for it, and the results equal a
+    // serial runInference loop bit for bit. The whole grid goes
+    // through runBatch on the global scheduler (4 workers here, 1 in
+    // the serial CI leg), then item by item from outer schedulers of
+    // width 1 and 4.
+    setInformEnabled(false);
+    std::vector<accel::BatchItem> grid;
+    for (bool paperBatch : {false, true}) {
+        for (const auto &name : cnn::modelNames()) {
+            const auto net = cnn::convLayersOnly(cnn::makeModel(name));
+            for (auto s : {accel::Scheme::Tpu, accel::Scheme::SuperNpu,
+                           accel::Scheme::Sram, accel::Scheme::Heter,
+                           accel::Scheme::Pipe, accel::Scheme::Smart}) {
+                accel::BatchItem item;
+                item.cfg = accel::makeScheme(s);
+                item.model = net;
+                if (paperBatch)
+                    item.batch = cnn::paperBatchSize(
+                        name, s == accel::Scheme::SuperNpu);
+                grid.push_back(std::move(item));
+            }
+        }
+    }
+    ASSERT_EQ(grid.size(), 72u);
+    const std::uint64_t kConfigs = 4;
+
+    accel::clearIlpCache();
+    std::uint64_t before = accel::configCacheInserts();
+    std::vector<accel::InferenceResult> serial;
+    for (const auto &item : grid)
+        serial.push_back(
+            accel::runInference(item.cfg, item.model, item.batch));
+    EXPECT_EQ(accel::configCacheInserts() - before, kConfigs);
+
+    accel::clearIlpCache();
+    before = accel::configCacheInserts();
+    const auto batched = accel::runBatch(grid);
+    EXPECT_EQ(accel::configCacheInserts() - before, kConfigs);
+    ASSERT_EQ(batched.size(), serial.size());
+    for (std::size_t i = 0; i < serial.size(); ++i)
+        expectIdentical(serial[i], batched[i]);
+
+    for (int width : {1, 4}) {
+        SCOPED_TRACE("outer width " + std::to_string(width));
+        TaskScheduler outer(width);
+        accel::clearIlpCache();
+        before = accel::configCacheInserts();
+        std::vector<accel::InferenceResult> nested(grid.size());
+        outer.parallelFor(grid.size(), [&](std::size_t i) {
+            nested[i] = accel::runBatch({grid[i]}).front();
+        });
+        EXPECT_EQ(accel::configCacheInserts() - before, kConfigs);
+        for (std::size_t i = 0; i < serial.size(); ++i)
+            expectIdentical(serial[i], nested[i]);
+    }
+    accel::clearIlpCache();
+}
+
 TEST(ParallelEquivalence, MemoWarmInferenceRunsNoTasks)
 {
     // Only layers whose schedule must be computed fan out: a memo-warm
