@@ -6,11 +6,11 @@
  *
  * With --json [--out PATH], instead runs the end-to-end evaluation
  * sweep (figure grid via runBatch, the Fig. 14 DSE sweep, and a B&B
- * ILP batch) on the work-stealing scheduler and writes wall-clock
- * timings to BENCH_micro.json, seeding the perf trajectory. The
- * figure-grid timings are per-loop medians over several cold runs
- * (with a max-min spread metric characterizing run-to-run variance),
- * and the report carries the scheduler's task/steal counters, the
+ * ILP batch) on the task scheduler and writes wall-clock timings to
+ * BENCH_micro.json, seeding the perf trajectory. The figure-grid
+ * timings are per-loop medians over several cold runs (with a max-min
+ * spread metric characterizing run-to-run variance), and the report
+ * carries the scheduler's task counters, the
  * schedule-memo entry count of one cold single-image grid, the
  * median warm-memo re-run time of that grid and the simplex pivots
  * its ILP schedules take.
@@ -261,8 +261,8 @@ jsonMain(int argc, char **argv)
     // visible in the trajectory. Results are bit-identical across
     // loops (the equivalence suite's contract), so the checksum sums
     // one loop's results. The steal counter delta over the grid loops
-    // shows whether the work-stealing substrate was actually load
-    // balancing or degenerated to per-worker chunks.
+    // counts the tasks that ran off their spawner's thread, i.e.
+    // whether the grid's work actually spread across threads.
     const int gridLoops = 3;
     bench::Timer timer;
     std::vector<accel::InferenceResult> single, batch;
@@ -830,11 +830,12 @@ jsonMain(int argc, char **argv)
         TraceRecorder::global().reset();
     }
 
-    // Work-stealing scheduler counters over the whole sweep: how many
-    // tasks the substrate ran, how often idle workers stole (vs came
-    // up empty), and the deepest any worker's deque got. A healthy
-    // multi-thread run shows steals > 0; a serial run shows 0 steals
-    // and tasks_run == 0 (everything inlines).
+    // Task scheduler counters over the whole sweep: how many tasks
+    // the substrate ran, how many of them ran off their spawner's
+    // thread (steals; steal_failures is always 0), and the deepest the
+    // shared queue got. A healthy multi-thread run shows steals > 0;
+    // a serial run shows 0 steals and tasks_run == 0 (everything
+    // inlines).
     const auto sched = TaskScheduler::global().stats();
     metrics.push_back(
         {"sched_tasks_run", static_cast<double>(sched.tasksRun)});
@@ -844,8 +845,8 @@ jsonMain(int argc, char **argv)
         {"sched_steal_failures",
          static_cast<double>(sched.stealFailures)});
     metrics.push_back(
-        {"sched_max_deque_depth",
-         static_cast<double>(sched.maxDequeDepth)});
+        {"sched_max_queue_depth",
+         static_cast<double>(sched.maxQueueDepth)});
 
     metrics.push_back({"total_ms", total.ms()});
 

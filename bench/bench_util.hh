@@ -163,8 +163,8 @@ figureSchemes()
 /**
  * The full (model x [TPU + schemes]) evaluation grid of Figs. 18-21:
  * per model, the TPU baseline followed by the five schemes. Evaluated
- * in one runBatch call so the grid fans out as stealable tasks on the
- * work-stealing scheduler.
+ * in one runBatch call so the grid fans out as tasks on the task
+ * scheduler.
  */
 inline std::vector<accel::BatchItem>
 figureGrid(bool batch_mode)

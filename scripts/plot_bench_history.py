@@ -2,7 +2,7 @@
 """Render the perf trajectory (BENCH_history.jsonl) as SVG charts.
 
 One chart per metric family — wall times, cache hit rates, rescue
-rates, work-stealing scheduler counters — with one polyline per
+rates, task scheduler counters — with one polyline per
 metric across the committed history
 lines (x axis: commit sha, oldest left). Standard library only: the
 SVG is emitted by hand, so the script runs on any Python 3 without
@@ -50,13 +50,13 @@ FAMILIES = {
         ],
     },
     "scheduler": {
-        "title": "Work-stealing scheduler counters (log scale)",
+        "title": "Task scheduler counters (log scale)",
         "log": True,
         "metrics": [
             "sched_tasks_run",
             "sched_steals",
             "sched_steal_failures",
-            "sched_max_deque_depth",
+            "sched_max_queue_depth",
             "figure_grid_sched_steals",
         ],
     },

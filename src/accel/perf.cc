@@ -657,7 +657,7 @@ runInference(const AcceleratorConfig &cfg, const cnn::CnnModel &model,
     // The whole-model evaluation is the trace's "execute" stage. The
     // scheduler carries the ambient id with each spawned task (see
     // common/taskgraph.hh), so per-layer schedule spans recorded on
-    // whichever thread steals a layer attach to the same request
+    // whichever thread runs a layer attach to the same request
     // without manual re-establishment here.
     const std::uint64_t traceId = TraceRecorder::currentTrace();
     ScopedSpan execSpan(traceId, "execute",

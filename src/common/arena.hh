@@ -9,8 +9,8 @@
  *
  * Not thread-safe by design: an arena is owned by the single thread
  * that fills it (the dispatcher), and the views it hands out are
- * immutable afterwards, so concurrent *readers* (stealable wave
- * tasks) need no synchronization beyond the task-graph join.
+ * immutable afterwards, so concurrent *readers* (wave tasks on other
+ * threads) need no synchronization beyond the task-graph join.
  * Interned views live exactly as long as the arena.
  */
 

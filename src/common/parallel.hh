@@ -4,8 +4,8 @@
  * workers (ShardedCache): the process-wide layer-schedule memo and
  * configuration-cost memo are the in-process caches on both the
  * figure-grid and the serving path.
- * The execution substrate itself — the work-stealing TaskScheduler,
- * TaskGroup, and pFor — lives in common/taskgraph.hh.
+ * The execution substrate itself — the TaskScheduler (one shared
+ * task queue), TaskGroup, and pFor — lives in common/taskgraph.hh.
  */
 
 #ifndef SMART_COMMON_PARALLEL_HH

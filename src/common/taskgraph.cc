@@ -1,431 +1,109 @@
 /**
  * @file
- * TaskScheduler internals: the Chase-Lev deque, the worker loop, and
- * the steal protocol. The deque follows the Chase-Lev/Lê algorithm
- * with every cross-thread access on std::atomic (seq_cst where the
- * algorithm needs a store-load ordering, instead of standalone
- * fences, which TSan does not model) — the owner pushes and pops at
- * the bottom, thieves CAS the top, and a lost CAS race is counted as
- * a steal failure and retried by the caller's outer loop. Retired
- * (outgrown) ring buffers are kept until the deque dies: a thief may
- * still be reading a stale buffer, and its subsequent top CAS is
- * what decides whether the value it read means anything.
+ * TaskScheduler internals. The queue and the counters sit under the
+ * one scheduler mutex; a task runs with no lock held.
  */
 
 #include "common/taskgraph.hh"
 
-#include <algorithm>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/logging.hh"
 
 namespace smart
 {
 
-/** One unit of work: the closure, its join group, its trace context. */
-struct TaskScheduler::Task
+TaskScheduler::TaskScheduler(int threads) : width_(std::max(1, threads))
 {
-    std::function<void()> fn;
-    TaskGroup *group = nullptr; //!< Null for detached submit()s.
-    std::uint64_t traceId = 0;  //!< Spawner's ambient trace id.
-};
-
-namespace
-{
-
-/**
- * Chase-Lev work-stealing deque of Task pointers. Single owner
- * (push/pop at the bottom), many thieves (steal at the top). The
- * ring grows geometrically; old rings are retired, not freed, until
- * destruction (see file comment).
- */
-class TaskDeque
-{
-  public:
-    // lint-allow(naked-new): the Ring's ownership is deliberately
-    // manual — the raw pointer is double-tracked (the atomic buf_ for
-    // thieves, retired_ for the owner's eventual free), which no
-    // single smart pointer can express; retired_ frees every ring.
-    TaskDeque() : buf_(new Ring(kInitialCap))
-    {
-        // memory_order: relaxed — ctor-local; nobody else can see
-        // buf_ before the deque itself is published.
-        retired_.emplace_back(buf_.load(std::memory_order_relaxed));
-    }
-
-    /** Owner only. Returns the post-push depth for the max gauge. */
-    std::size_t push(TaskScheduler::Task *task)
-    {
-        // memory_order: bottom_/buf_ are owner-written, so the owner
-        // reads them relaxed; top_ is acquire so the slots a thief
-        // consumed are really gone before we reuse the space.
-        const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-        const std::int64_t t = top_.load(std::memory_order_acquire);
-        Ring *ring = buf_.load(std::memory_order_relaxed);
-        if (b - t >= static_cast<std::int64_t>(ring->cap))
-            ring = grow(ring, t, b);
-        ring->put(b, task);
-        // Publish the slot before the new bottom: a thief that
-        // acquires this bottom value must see the task pointer.
-        bottom_.store(b + 1, std::memory_order_seq_cst);
-        return static_cast<std::size_t>(b + 1 - t);
-    }
-
-    /** Owner only: LIFO pop from the bottom (depth-first descent). */
-    TaskScheduler::Task *pop()
-    {
-        // memory_order: owner-side relaxed reads of owner-written
-        // state (bottom_/buf_); the seq_cst store/load below is the
-        // algorithm's required store-load barrier.
-        const std::int64_t b =
-            bottom_.load(std::memory_order_relaxed) - 1;
-        Ring *ring = buf_.load(std::memory_order_relaxed);
-        // The seq_cst store/load pair is the algorithm's store-load
-        // barrier: the reservation of slot b must be globally
-        // ordered against a thief's top read.
-        bottom_.store(b, std::memory_order_seq_cst);
-        std::int64_t t = top_.load(std::memory_order_seq_cst);
-        // memory_order: the undo stores are relaxed (owner-only
-        // writes; thieves never read a bottom_ they must order on
-        // after losing the CAS), and the CAS failure order is relaxed
-        // because a loser discards everything it read.
-        if (t > b) { // empty: undo the reservation
-            bottom_.store(b + 1, std::memory_order_relaxed);
-            return nullptr;
-        }
-        TaskScheduler::Task *task = ring->get(b);
-        if (t == b) {
-            // Last element: race the thieves for it via the top.
-            if (!top_.compare_exchange_strong(
-                    t, t + 1, std::memory_order_seq_cst,
-                    std::memory_order_relaxed))
-                task = nullptr; // a thief won
-            bottom_.store(b + 1, std::memory_order_relaxed);
-        }
-        return task;
-    }
-
-    /**
-     * Thief side: FIFO steal from the top. Sets @p contended when
-     * the CAS lost a race (retry-worthy) as opposed to the deque
-     * simply being empty.
-     */
-    TaskScheduler::Task *steal(bool &contended)
-    {
-        contended = false;
-        std::int64_t t = top_.load(std::memory_order_seq_cst);
-        const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
-        if (t >= b)
-            return nullptr; // empty
-        // memory_order: acquire on buf_ pairs with grow()'s release
-        // so the thief sees the copied slots of a fresh ring; the CAS
-        // failure order is relaxed — a loser uses nothing it read.
-        Ring *ring = buf_.load(std::memory_order_acquire);
-        TaskScheduler::Task *task = ring->get(t);
-        // The CAS decides ownership; only a winner may use the value
-        // read above (a stale read loses the CAS by construction).
-        if (!top_.compare_exchange_strong(t, t + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-            contended = true;
-            return nullptr;
-        }
-        return task;
-    }
-
-    /** Racy size estimate (sweep ordering only). */
-    bool emptyApprox() const
-    {
-        // memory_order: relaxed — an advisory emptiness hint; every
-        // authoritative read happens inside pop()/steal().
-        return bottom_.load(std::memory_order_relaxed) <=
-               top_.load(std::memory_order_relaxed);
-    }
-
-  private:
-    static constexpr std::size_t kInitialCap = 64;
-
-    struct Ring
-    {
-        explicit Ring(std::size_t c)
-            : cap(c), mask(c - 1),
-              // Value-initialized: a thief holding a stale top may
-              // read a never-written slot of a freshly grown ring
-              // before its CAS fails — that read must be defined.
-              // lint-allow(naked-new): unique_ptr<T[]> takes the raw
-              // array; make_unique would zero-init identically but
-              // cannot be spelled in this member-init position with
-              // the comment the value-init subtlety needs.
-              slots(new std::atomic<TaskScheduler::Task *>[c]())
-        {
-        }
-        TaskScheduler::Task *get(std::int64_t i) const
-        {
-            // memory_order: relaxed — slot reads/writes are ordered
-            // by the top_/bottom_ protocol, never by the slot itself
-            // (a stale read is discarded via a failed CAS).
-            return slots[static_cast<std::size_t>(i) & mask].load(
-                std::memory_order_relaxed);
-        }
-        void put(std::int64_t i, TaskScheduler::Task *t)
-        {
-            // memory_order: relaxed — see get(); the publishing
-            // store is the owner's seq_cst bottom_ bump.
-            slots[static_cast<std::size_t>(i) & mask].store(
-                t, std::memory_order_relaxed);
-        }
-        const std::size_t cap;
-        const std::size_t mask;
-        std::unique_ptr<std::atomic<TaskScheduler::Task *>[]> slots;
-    };
-
-    /** Owner only: double the ring, copying the live [t, b) window. */
-    Ring *grow(Ring *old, std::int64_t t, std::int64_t b)
-    {
-        auto bigger = std::make_unique<Ring>(old->cap * 2);
-        for (std::int64_t i = t; i < b; ++i)
-            bigger->put(i, old->get(i));
-        Ring *raw = bigger.get();
-        retired_.push_back(std::move(bigger));
-        // memory_order: release pairs with steal()'s acquire load so
-        // a thief that sees the new ring sees its copied slots.
-        buf_.store(raw, std::memory_order_release);
-        return raw;
-    }
-
-    std::atomic<std::int64_t> top_{0};
-    std::atomic<std::int64_t> bottom_{0};
-    std::atomic<Ring *> buf_;
-    /** Every ring ever used; freed only with the deque. Owner only. */
-    std::vector<std::unique_ptr<Ring>> retired_;
-};
-
-} // namespace
-
-struct TaskScheduler::Worker
-{
-    TaskDeque deque;
-    std::size_t index = 0;
-};
-
-namespace
-{
-
-/** The worker identity of the current thread, if any. */
-thread_local TaskScheduler::Worker *tl_worker = nullptr;
-thread_local const TaskScheduler *tl_scheduler = nullptr;
-
-} // namespace
-
-TaskScheduler::TaskScheduler(int threads)
-{
-    width_ = std::max(1, threads);
-    if (width_ <= 1)
-        return; // fully serial: no workers, everything runs inline
-    workers_.reserve(width_);
-    for (int i = 0; i < width_; ++i) {
-        workers_.push_back(std::make_unique<Worker>());
-        workers_.back()->index = static_cast<std::size_t>(i);
-    }
-    threads_.reserve(width_);
-    for (int i = 0; i < width_; ++i)
-        threads_.emplace_back(
-            [this, w = workers_[i].get()]() { workerLoop(w); });
+    // Width 1 is fully serial: no workers, every task runs inline.
+    for (int i = 0; width_ > 1 && i < width_; ++i)
+        threads_.emplace_back([this] { workerLoop(); });
 }
 
 TaskScheduler::~TaskScheduler()
 {
     {
-        LockGuard lock(idleMu_);
-        // memory_order: release pairs with the workers' acquire loads
-        // (belt and braces — the mutex already orders the handoff).
-        stopping_.store(true, std::memory_order_release);
+        LockGuard lock(mu_);
+        stopping_ = true;
     }
-    idleCv_.notify_all();
+    workCv_.notify_all();
     for (auto &t : threads_)
         t.join();
 }
 
-bool
-TaskScheduler::onWorkerThread() const
+void
+TaskScheduler::spawn(std::function<void()> fn, TaskGroup &group)
 {
-    return tl_scheduler == this;
+    {
+        LockGuard lock(mu_);
+        queue_.push_back(Task{std::move(fn), &group,
+                              TraceRecorder::currentTrace(),
+                              std::this_thread::get_id()});
+        stats_.maxQueueDepth =
+            std::max(stats_.maxQueueDepth, queue_.size());
+    }
+    workCv_.notify_one();
+}
+
+TaskScheduler::Task
+TaskScheduler::take(std::deque<Task>::iterator it)
+{
+    Task task = std::move(*it);
+    queue_.erase(it);
+    ++stats_.tasksRun;
+    stats_.steals += task.spawner != std::this_thread::get_id();
+    return task;
 }
 
 void
-TaskScheduler::spawnImpl(std::function<void()> fn, TaskGroup *group)
+TaskScheduler::runTask(Task task)
 {
-    // lint-allow(naked-new): tasks cross the lock-free deque as raw
-    // pointers by design; exactly one consumer frees each in
-    // runTask() (lint-allow(naked-delete) there).
-    auto *task = new Task{std::move(fn), group,
-                          TraceRecorder::currentTrace()};
-    ready_.fetch_add(1, std::memory_order_seq_cst);
-    Worker *self = onWorkerThread() ? tl_worker : nullptr;
-    if (self) {
-        const std::size_t depth = self->deque.push(task);
-        // memory_order: relaxed — maxDepth_ is a monotonic gauge read
-        // only by stats(); it orders nothing.
-        std::size_t prev = maxDepth_.load(std::memory_order_relaxed);
-        while (prev < depth &&
-               !maxDepth_.compare_exchange_weak(
-                   prev, depth, std::memory_order_relaxed))
-            ;
-    } else {
-        LockGuard lock(injectMu_);
-        injected_.push_back(task);
-    }
-    notifyWorkers();
-}
-
-void
-TaskScheduler::notifyWorkers()
-{
-    if (sleepers_.load(std::memory_order_seq_cst) > 0) {
-        // Taking the mutex pairs with the sleeper's predicate check,
-        // so the ready_ bump above cannot fall into the gap between
-        // a worker's last look and its wait.
-        LockGuard lock(idleMu_);
-        idleCv_.notify_one();
-    }
-}
-
-TaskScheduler::Task *
-TaskScheduler::popInjected()
-{
-    LockGuard lock(injectMu_);
-    if (injectHead_ >= injected_.size())
-        return nullptr;
-    Task *t = injected_[injectHead_++];
-    if (injectHead_ == injected_.size()) {
-        injected_.clear();
-        injectHead_ = 0;
-    }
-    return t;
-}
-
-TaskScheduler::Task *
-TaskScheduler::stealTask(Worker *self)
-{
-    const std::size_t n = workers_.size();
-    if (n == 0)
-        return nullptr;
-    // Start the sweep after ourselves (or a thread-id-derived point
-    // for external thieves) so thieves spread over victims.
-    const std::size_t start =
-        self ? self->index + 1
-             : std::hash<std::thread::id>{}(
-                   std::this_thread::get_id());
-    for (std::size_t k = 0; k < n; ++k) {
-        Worker *victim = workers_[(start + k) % n].get();
-        if (victim == self)
-            continue;
-        bool contended = false;
-        Task *t = victim->deque.steal(contended);
-        // memory_order: relaxed — steals_/stealFailures_ are stats()
-        // counters only; they order nothing.
-        if (t) {
-            steals_.fetch_add(1, std::memory_order_relaxed);
-            return t;
-        }
-        if (contended)
-            stealFailures_.fetch_add(1, std::memory_order_relaxed);
-    }
-    return nullptr;
-}
-
-TaskScheduler::Task *
-TaskScheduler::findTask(Worker *self)
-{
-    Task *t = self ? self->deque.pop() : nullptr;
-    if (!t)
-        t = stealTask(self);
-    if (!t)
-        t = popInjected();
-    if (t)
-        ready_.fetch_sub(1, std::memory_order_seq_cst);
-    return t;
-}
-
-void
-TaskScheduler::runTask(Task *t)
-{
-    // Scheduler-native task context: the spawner's ambient trace id
-    // travels with the task across steals.
-    TraceRecorder::TraceScope trace(t->traceId);
-    TaskGroup *group = t->group;
+    // The spawner's ambient trace id travels with the task.
+    TraceRecorder::TraceScope trace(task.traceId);
+    std::exception_ptr error;
     try {
-        t->fn();
+        task.fn();
     } catch (...) {
-        if (group)
-            group->fail(std::current_exception());
-        // Detached tasks wrap a packaged_task and cannot throw.
+        error = std::current_exception();
     }
-    // lint-allow(naked-delete): the matching lint-allow(naked-new) is
-    // in spawnImpl(); this is the pointer's unique consumer.
-    delete t;
-    // memory_order: relaxed — tasksRun_ is a stats() counter only.
-    tasksRun_.fetch_add(1, std::memory_order_relaxed);
-    if (group)
-        group->finish();
+    // Free the closure before the joiner can see the task retired.
+    task.fn = nullptr;
+    task.group->finish(std::move(error));
 }
 
 bool
-TaskScheduler::helpOne()
+TaskScheduler::helpWith(const TaskGroup &own)
 {
-    Worker *self = onWorkerThread() ? tl_worker : nullptr;
-    Task *t = findTask(self);
-    if (!t)
+    LockGuard lock(mu_);
+    if (queue_.empty())
         return false;
-    runTask(t);
+    // Own newest first: depth-first through this joiner's own work.
+    auto own_it = std::find_if(queue_.rbegin(), queue_.rend(),
+                               [&](const Task &t) {
+                                   return t.group == &own;
+                               });
+    Task task = take(own_it != queue_.rend() ? std::prev(own_it.base())
+                                             : queue_.begin());
+    lock.unlock();
+    runTask(std::move(task));
     return true;
 }
 
 void
-TaskScheduler::workerLoop(Worker *self)
+TaskScheduler::workerLoop()
 {
-    tl_worker = self;
-    tl_scheduler = this;
+    LockGuard lock(mu_);
     for (;;) {
-        Task *t = findTask(self);
-        if (t) {
-            runTask(t);
-            continue;
-        }
-        LockGuard lock(idleMu_);
-        // memory_order: stopping_ is read acquire to pair with the
-        // destructor's release store; ready_/sleepers_ stay seq_cst —
-        // the sleep/notify protocol needs the store-load ordering
-        // between a spawner's ready_ bump and a sleeper's last look.
-        if (stopping_.load(std::memory_order_acquire)) {
-            if (ready_.load(std::memory_order_seq_cst) == 0)
-                return;
-            continue; // drain: tasks remain, sweep again
-        }
-        sleepers_.fetch_add(1, std::memory_order_seq_cst);
-        lock.wait(idleCv_, [&] {
-            return stopping_.load(std::memory_order_acquire) ||
-                   ready_.load(std::memory_order_seq_cst) > 0;
-        });
-        sleepers_.fetch_sub(1, std::memory_order_seq_cst);
-        // memory_order: acquire — see the loop-head comment above.
-        if (stopping_.load(std::memory_order_acquire) &&
-            ready_.load(std::memory_order_seq_cst) == 0)
-            return;
+        while (queue_.empty() && !stopping_)
+            lock.wait(workCv_);
+        if (queue_.empty())
+            return; // stopping, and every spawned task ran
+        Task task = take(queue_.begin());
+        lock.unlock();
+        runTask(std::move(task));
+        lock.lock();
     }
-}
-
-TaskScheduler::Stats
-TaskScheduler::stats() const
-{
-    Stats s;
-    // memory_order: relaxed — point-in-time counter snapshot; exact
-    // only once the scheduler is quiescent, as documented.
-    s.tasksRun = tasksRun_.load(std::memory_order_relaxed);
-    s.steals = steals_.load(std::memory_order_relaxed);
-    s.stealFailures = stealFailures_.load(std::memory_order_relaxed);
-    s.maxDequeDepth = maxDepth_.load(std::memory_order_relaxed);
-    return s;
 }
 
 int

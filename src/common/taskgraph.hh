@@ -1,56 +1,33 @@
 /**
  * @file
- * Work-stealing task scheduler: the parallel substrate under every
- * batch/sweep/serve workload. Each worker owns a Chase-Lev–style
- * deque — tasks spawned on a worker push LIFO onto its own deque
- * (hot caches, depth-first descent into nested work), idle workers
- * steal FIFO from a victim's opposite end (the oldest, widest task),
- * and a thread joining a TaskGroup helps while waiting: it executes
- * pending tasks instead of sleeping, so a parent blocked on children
- * is itself an execution lane. The payoff over the old fixed-wave
- * ThreadPool is nested parallelism: a pFor spawned from inside
- * another pFor's task used to collapse to serial inline execution —
- * now its chunks are stealable like any other task, so per-model →
- * per-layer nesting (figure grid, runBatch) and uneven DSE points
- * fill the machine instead of serializing a wave.
+ * Task scheduler: the parallel substrate under every batch, sweep and
+ * serve workload. Pending tasks sit in one FIFO guarded by one mutex;
+ * workers take the oldest. A thread joining a TaskGroup runs its own
+ * group's newest queued task, or else the oldest, and sleeps only when
+ * the queue is empty, so nested pFor calls (per-model -> per-layer)
+ * complete even with every worker busy. The parallel work is coarse
+ * (ILP layer schedules, grid and DSE points), so one lock per task
+ * costs nothing measurable; work-stealing deques did not beat it.
  *
- * Three contracts carried over from the ThreadPool era:
- *
- *  - Determinism: pFor partitions work by index and callers write
- *    results into pre-sized slots, so serial and stolen execution
- *    produce bit-identical output regardless of which thread runs
- *    which chunk (tests/test_parallel_equivalence.cc is the net).
- *  - SMART_THREADS=1 means fully serial: no worker threads exist and
- *    every task runs inline on the spawning thread, in spawn order.
- *  - Trace context follows the TASK, not the worker thread: run()
- *    and pFor capture the spawner's ambient trace id
- *    (TraceRecorder::currentTrace()) at spawn time and re-establish
- *    it around execution on whichever thread steals the task, so
- *    spans recorded inside nested parallel work attach to the
- *    originating request without per-call-site plumbing (PR 7's
- *    manual re-establishment inside parallelFor bodies is now
- *    scheduler-native).
- *
- * Scheduler counters (tasks run, steals, steal failures, max deque
- * depth) are exported via stats() into the bench/metrics JSON schema
- * so the nested-parallelism win is observable, not anecdotal.
+ * Contracts: results go by index (pFor callers write pre-sized slots,
+ * so output is bit-identical whichever thread runs which chunk;
+ * tests/test_parallel_equivalence.cc); width 1 spawns no threads and
+ * runs every task inline, in spawn order; and the spawner's ambient
+ * trace id (TraceRecorder::currentTrace()) follows the task.
  */
 
 #ifndef SMART_COMMON_TASKGRAPH_HH
 #define SMART_COMMON_TASKGRAPH_HH
 
+#include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <exception>
 #include <functional>
-#include <future>
-#include <memory>
-#include <mutex>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -62,24 +39,17 @@ namespace smart
 
 class TaskGroup;
 
-/**
- * The scheduler: @p threads workers, one Chase-Lev deque each, plus
- * a mutex-protected injection queue for tasks spawned by threads
- * that are not workers (the serve dispatcher, bench mains, test
- * threads). Thread count 1 spawns no workers at all — every task
- * runs inline on the spawning thread.
- */
+/** The scheduler: worker threads over one mutex-guarded FIFO. */
 class TaskScheduler
 {
   public:
-    /** Point-in-time scheduler counters (monotonic since start). */
+    /** Point-in-time counters (monotonic since start), for the bench. */
     struct Stats
     {
-        std::uint64_t tasksRun = 0; //!< Tasks executed to completion.
-        std::uint64_t steals = 0;   //!< Tasks taken from another lane.
-        /** CAS-aborted steal attempts (contended victim top). */
-        std::uint64_t stealFailures = 0;
-        std::size_t maxDequeDepth = 0; //!< Deepest any deque grew.
+        std::uint64_t tasksRun = 0; //!< Tasks taken off the queue.
+        std::uint64_t steals = 0; //!< Tasks run off their spawner's thread.
+        std::uint64_t stealFailures = 0; //!< Always 0; smartbench reads it.
+        std::size_t maxQueueDepth = 0; //!< Deepest the queue grew.
     };
 
     /** Spawn @p threads workers (values <= 1 mean fully serial). */
@@ -91,105 +61,65 @@ class TaskScheduler
     TaskScheduler(const TaskScheduler &) = delete;
     TaskScheduler &operator=(const TaskScheduler &) = delete;
 
-    /**
-     * Parallelism width (>= 1): the worker count, or 1 in serial
-     * mode. This is the "threads" every JSON report carries.
-     */
+    /** Width (>= 1): the "threads" every JSON report carries. */
     int size() const { return width_; }
 
-    /** True when the calling thread is one of this scheduler's workers. */
-    bool onWorkerThread() const;
-
     /**
-     * Run fn(i) for every i in [0, n), subdividing the range into
-     * stealable chunks. Blocks until every index ran; the first
-     * exception thrown by any fn(i) is rethrown in the caller after
-     * remaining indices are abandoned. Nested calls (from inside a
-     * task) spawn real stealable tasks — they no longer serialize.
-     * Determinism: indices map to pre-partitioned chunks, so writes
-     * into pre-sized slot i are bit-identical to a serial loop.
+     * Run fn(i) for every i in [0, n), in chunk tasks, and join. The
+     * first exception any fn(i) throws is rethrown here after the
+     * remaining indices are abandoned.
      */
     template <typename Fn>
     void parallelFor(std::size_t n, Fn &&fn);
 
     /**
-     * Submit a detached nullary task; the future carries its return
-     * value or exception. In serial mode the task runs inline (the
-     * returned future is already ready).
-     */
-    template <typename Fn>
-    auto submit(Fn &&fn) -> std::future<std::invoke_result_t<Fn &>>;
-
-    /**
-     * The process-wide scheduler, created on first use. Its width
-     * comes from SMART_THREADS when set (clamped to [1, 256]),
-     * otherwise from std::thread::hardware_concurrency().
+     * The process-wide scheduler, created on first use: SMART_THREADS
+     * wide (clamped to [1, 256]), else hardware_concurrency() wide.
      */
     static TaskScheduler &global();
 
     /** The thread count global() uses (env parsing exposed for tests). */
     static int configuredThreads();
 
-    /** Aggregate counters (relaxed reads; exact once quiescent). */
-    Stats stats() const;
-
-    /**
-     * Run one pending task on the calling thread if any is runnable
-     * (own deque first, then a steal sweep, then the injection
-     * queue). Returns false when nothing was found — the building
-     * block of the help-while-waiting join.
-     */
-    bool helpOne();
-
-    // Defined in taskgraph.cc; public so the implementation's
-    // file-local deque and thread-local worker slots can name them.
-    struct Task;
-    struct Worker;
+    Stats stats() const SMART_EXCLUDES(mu_)
+    {
+        LockGuard lock(mu_);
+        return stats_;
+    }
 
   private:
     friend class TaskGroup;
 
-    /** Type-erased spawn: enqueue @p fn as a task owned by @p group. */
-    void spawnImpl(std::function<void()> fn, TaskGroup *group);
+    struct Task
+    {
+        std::function<void()> fn;
+        TaskGroup *group = nullptr;
+        std::uint64_t traceId = 0; //!< Spawner's ambient trace id.
+        std::thread::id spawner;
+    };
 
-    void runTask(Task *t);
-    Task *findTask(Worker *self);
-    Task *stealTask(Worker *self);
-    Task *popInjected();
-    void notifyWorkers();
-    void workerLoop(Worker *self);
+    void spawn(std::function<void()> fn, TaskGroup &group)
+        SMART_EXCLUDES(mu_);
+    /** Run @p own's newest queued task, else the oldest; false if none. */
+    bool helpWith(const TaskGroup &own) SMART_EXCLUDES(mu_);
+    /** Remove the task at @p it from the queue and count it. */
+    Task take(std::deque<Task>::iterator it) SMART_REQUIRES(mu_);
+    void runTask(Task task);
+    void workerLoop() SMART_EXCLUDES(mu_);
 
     int width_ = 1;
-    std::vector<std::unique_ptr<Worker>> workers_;
-    std::vector<std::thread> threads_;
-
-    /** Tasks spawned by non-worker threads (FIFO). */
-    Mutex injectMu_;
-    /** FIFO: take from the front. */
-    std::vector<Task *> injected_ SMART_GUARDED_BY(injectMu_);
-    std::size_t injectHead_ SMART_GUARDED_BY(injectMu_) = 0;
-
-    /** Spawned-but-not-yet-acquired task count (wakeup predicate). */
-    std::atomic<std::size_t> ready_{0};
-    /** Pure sleep/wake plumbing; idleCv_ predicates read atomics. */
-    Mutex idleMu_;
-    std::condition_variable idleCv_;
-    std::atomic<int> sleepers_{0};
-    std::atomic<bool> stopping_{false};
-
-    // Counters (relaxed; coarse tasks make contention irrelevant).
-    std::atomic<std::uint64_t> tasksRun_{0};
-    std::atomic<std::uint64_t> steals_{0};
-    std::atomic<std::uint64_t> stealFailures_{0};
-    std::atomic<std::size_t> maxDepth_{0};
+    mutable Mutex mu_;
+    std::deque<Task> queue_ SMART_GUARDED_BY(mu_);
+    std::condition_variable workCv_; //!< Idle workers wait here.
+    bool stopping_ SMART_GUARDED_BY(mu_) = false;
+    Stats stats_ SMART_GUARDED_BY(mu_);
+    std::vector<std::thread> threads_; //!< Last: they use the above.
 };
 
 /**
- * A join scope over spawned tasks: run() spawns, wait() blocks until
- * every spawned task finished — executing pending tasks itself while
- * it waits — then rethrows the first captured exception. Groups may
- * nest arbitrarily (a task may open its own group); the group object
- * must outlive its tasks, which wait() and the destructor guarantee.
+ * A join scope over spawned tasks, used by the thread that owns it.
+ * Groups nest (a task may open its own); wait() or the destructor
+ * make sure no task outlives its group.
  */
 class TaskGroup
 {
@@ -200,160 +130,99 @@ class TaskGroup
     }
 
     /** Waits for stragglers; a pending exception is dropped here. */
-    ~TaskGroup()
-    {
-        // memory_order: acquire pairs with finish()'s decrement so a
-        // zero read here means every child's effects are visible.
-        if (pending_.load(std::memory_order_acquire) != 0)
-            waitNoThrow();
-    }
+    ~TaskGroup() { help(); }
 
     TaskGroup(const TaskGroup &) = delete;
     TaskGroup &operator=(const TaskGroup &) = delete;
 
-    /**
-     * Spawn one child task. The spawner's ambient trace id is
-     * captured here and re-established around fn() on whichever
-     * thread executes it. In serial mode fn() runs inline now; its
-     * exception is still deferred to wait() for parity.
-     */
+    /** Spawn one task; at width 1 it runs now (errors still wait). */
     template <typename Fn>
-    void run(Fn &&fn)
+    void run(Fn &&fn) SMART_EXCLUDES(mu_)
     {
         if (sched_.size() <= 1) {
             try {
                 fn();
             } catch (...) {
+                LockGuard lock(mu_);
                 fail(std::current_exception());
             }
             return;
         }
-        // memory_order: acq_rel — the increment must be ordered
-        // against the task publish and against finish()'s matching
-        // decrement (the joiner's pending_==0 read is an acquire).
-        pending_.fetch_add(1, std::memory_order_acq_rel);
-        sched_.spawnImpl(std::function<void()>(std::forward<Fn>(fn)),
-                         this);
+        {
+            LockGuard lock(mu_);
+            ++pending_;
+        }
+        sched_.spawn(std::function<void()>(std::forward<Fn>(fn)), *this);
     }
 
-    /**
-     * Block until every run() task finished, helping with pending
-     * work (this group's or anyone's) instead of sleeping. Rethrows
-     * the first exception any child threw; the group is reusable
-     * afterwards.
-     */
-    void wait()
+    /** Join every task (helping), then rethrow the first error. */
+    void wait() SMART_EXCLUDES(mu_)
     {
         help();
-        // memory_order: the acquire load pairs with fail()'s release
-        // store so the error_ written before the flag is visible; the
-        // release reset keeps the flag/error_ pair ordered for the
-        // next reuse of the group.
-        if (failed_.load(std::memory_order_acquire)) {
-            std::exception_ptr e;
-            {
-                LockGuard lock(errMu_);
-                std::swap(e, error_);
-                failed_.store(false, std::memory_order_release);
-            }
-            if (e)
-                std::rethrow_exception(e);
+        std::exception_ptr e;
+        {
+            LockGuard lock(mu_);
+            std::swap(e, error_);
+            // memory_order: relaxed — error_ itself travels under mu_;
+            // the flag is only the advisory poll behind failed().
+            failed_.store(false, std::memory_order_relaxed);
         }
+        if (e)
+            std::rethrow_exception(e);
     }
 
-    /**
-     * Has any child thrown? pFor chunks poll this to abandon
-     * remaining indices after a failure (the pre-refactor
-     * parallelFor contract).
-     */
+    /** Has any child thrown? pFor chunks poll this to stop early. */
     bool failed() const
     {
-        // memory_order: relaxed — an advisory early-abandon poll; the
-        // authoritative (acquire) read happens in wait().
+        // memory_order: relaxed — see wait().
         return failed_.load(std::memory_order_relaxed);
     }
 
   private:
     friend class TaskScheduler;
 
-    void help()
+    void help() SMART_EXCLUDES(mu_)
     {
-        // memory_order: every pending_ load is an acquire pairing
-        // with finish()'s acq_rel decrement, so observing zero also
-        // makes every finished child's writes visible to the joiner.
-        for (;;) {
-            if (pending_.load(std::memory_order_acquire) != 0 &&
-                sched_.helpOne())
-                continue;
-            // Nothing runnable here: the stragglers are mid-flight
-            // on other threads. The ONLY exit is observing
-            // pending_ == 0 under waitMu_ — the last finish()
-            // decrements and notifies under the same mutex, so a
-            // finisher can never still be signalling this group
-            // after we return (and possibly destroy it). The
-            // timeout is insurance, not the wakeup path.
-            LockGuard lock(waitMu_);
-            if (pending_.load(std::memory_order_acquire) == 0)
-                return;
+        LockGuard lock(mu_);
+        while (pending_ != 0) {
             lock.unlock();
-            if (sched_.helpOne())
-                continue;
+            const bool ran = sched_.helpWith(*this);
             lock.lock();
-            // memory_order: acquire — see the loop-head comment.
-            lock.waitFor(waitCv_, std::chrono::milliseconds(1), [&] {
-                return pending_.load(std::memory_order_acquire) == 0;
-            });
-            if (pending_.load(std::memory_order_acquire) == 0)
-                return;
+            // Queue empty: the stragglers run on other threads. The last
+            // finish() notifies under mu_, and we return only after
+            // seeing pending_ == 0 under mu_, so no finisher can still
+            // be touching this group once the owner destroys it.
+            while (!ran && pending_ != 0)
+                lock.wait(doneCv_);
         }
     }
 
-    void waitNoThrow()
+    /** Keep the first child exception (later ones are dropped). */
+    void fail(std::exception_ptr e) SMART_REQUIRES(mu_)
     {
-        help();
-        LockGuard lock(errMu_);
-        error_ = nullptr;
-        // memory_order: release keeps the error_ reset ordered before
-        // any later acquire read of the flag (group reuse).
-        failed_.store(false, std::memory_order_release);
+        if (error_)
+            return;
+        error_ = std::move(e);
+        // memory_order: relaxed — see wait().
+        failed_.store(true, std::memory_order_relaxed);
     }
 
-    /** Capture the first child exception (later ones are dropped). */
-    void fail(std::exception_ptr e)
+    /** One queued child retired (@p e set if it threw). */
+    void finish(std::exception_ptr e) SMART_EXCLUDES(mu_)
     {
-        LockGuard lock(errMu_);
-        if (!error_) {
-            error_ = std::move(e);
-            // memory_order: release publishes error_ to the acquire
-            // load in wait() that observes the flag set.
-            failed_.store(true, std::memory_order_release);
-        }
-    }
-
-    /**
-     * One child retired; the last one wakes the joiner. The
-     * decrement happens under waitMu_ so the joiner (whose exit
-     * check also holds waitMu_) cannot observe zero, return, and
-     * destroy the group while this thread is still signalling it.
-     */
-    void finish()
-    {
-        LockGuard lock(waitMu_);
-        // memory_order: acq_rel — releases this child's writes to the
-        // joiner's acquire load and orders the decrement against the
-        // notify below.
-        if (pending_.fetch_sub(1, std::memory_order_acq_rel) == 1)
-            waitCv_.notify_all();
+        LockGuard lock(mu_);
+        if (e)
+            fail(std::move(e));
+        if (--pending_ == 0)
+            doneCv_.notify_all();
     }
 
     TaskScheduler &sched_;
-    std::atomic<std::size_t> pending_{0};
+    Mutex mu_;
+    std::size_t pending_ SMART_GUARDED_BY(mu_) = 0;
+    std::exception_ptr error_ SMART_GUARDED_BY(mu_);
+    std::condition_variable doneCv_; //!< The joiner sleeps here.
     std::atomic<bool> failed_{false};
-    Mutex errMu_;
-    std::exception_ptr error_ SMART_GUARDED_BY(errMu_);
-    /** Orders the last finish() against the joiner's exit (help()). */
-    Mutex waitMu_;
-    std::condition_variable waitCv_;
 };
 
 template <typename Fn>
@@ -367,8 +236,8 @@ TaskScheduler::parallelFor(std::size_t n, Fn &&fn)
             fn(i);
         return;
     }
-    // Oversubdivide so uneven chunk costs rebalance by stealing, but
-    // keep chunks >= 1 index so tiny ranges spawn n tasks at most.
+    // Oversubdivide so uneven chunk costs rebalance across threads,
+    // but keep chunks >= 1 index so tiny ranges spawn n tasks at most.
     const std::size_t chunk = std::max<std::size_t>(
         1, n / (static_cast<std::size_t>(size()) * 8));
     TaskGroup group(*this);
@@ -383,25 +252,6 @@ TaskScheduler::parallelFor(std::size_t n, Fn &&fn)
         });
     }
     group.wait();
-}
-
-template <typename Fn>
-auto
-TaskScheduler::submit(Fn &&fn)
-    -> std::future<std::invoke_result_t<Fn &>>
-{
-    using Ret = std::invoke_result_t<Fn &>;
-    auto task =
-        std::make_shared<std::packaged_task<Ret()>>(std::forward<Fn>(fn));
-    std::future<Ret> fut = task->get_future();
-    if (size() <= 1) {
-        (*task)();
-        return fut;
-    }
-    // packaged_task captures any exception into the future, so this
-    // detached task cannot throw into the scheduler.
-    spawnImpl([task]() { (*task)(); }, nullptr);
-    return fut;
 }
 
 /** pFor on the global scheduler (the substrate's workhorse verb). */

@@ -18,10 +18,10 @@ std::vector<DsePoint>
 sweepPipelineFrequency(const CmosSfqArrayConfig &base,
                        const std::vector<double> &freqs_ghz)
 {
-    // Design-space points are independent: evaluate them as stealable
+    // Design-space points are independent: evaluate them as scheduler
     // tasks, each writing its own pre-sized slot so the result order
     // (and every bit of it) matches a serial sweep. One uneven point
-    // no longer serializes the sweep — its neighbors get stolen.
+    // does not serialize the sweep — idle threads take its neighbors.
     std::vector<DsePoint> points(freqs_ghz.size());
     pFor(freqs_ghz.size(), [&](std::size_t i) {
         const Gigahertz f{freqs_ghz[i]};

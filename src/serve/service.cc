@@ -732,8 +732,8 @@ EvalService::serveWave(std::vector<Pending> &&wave)
         // A one-group wave (an open-loop stream's usual wave: one
         // memo-hit request) is served on the dispatcher, since a task
         // hand-off costs more than a memo-hit evaluation. A larger wave
-        // runs each group as a stealable task; the dispatcher joins by
-        // helping (TaskGroup::wait runs pending tasks), so it
+        // runs each group as a scheduler task; the dispatcher joins by
+        // helping (TaskGroup::wait runs queued tasks), so it
         // contributes a lane. Fulfilment is race-free without extra
         // locking: group membership is disjoint.
         const auto waveStart = Clock::now();

@@ -1,9 +1,9 @@
 /**
  * @file
- * Task scheduler tests: parallelFor correctness on the work-stealing
- * substrate, exception propagation, nested parallelFor/submit from
- * worker threads, future-returning submit, SMART_THREADS parsing, and
- * the sharded memo cache with its per-shard entry cap.
+ * Task scheduler tests: parallelFor correctness on the shared-queue
+ * substrate, exception propagation, nested parallelFor from worker
+ * threads, the scheduler counters, SMART_THREADS parsing, and the
+ * sharded memo cache with its per-shard entry cap.
  */
 
 #include <gtest/gtest.h>
@@ -87,48 +87,12 @@ TEST(TaskScheduler, ExceptionAbandonsRemainingWork)
     EXPECT_LT(done.load(), 100000);
 }
 
-TEST(TaskScheduler, SubmitReturnsValueThroughFuture)
-{
-    TaskScheduler sched(2);
-    auto fut = sched.submit([]() { return 6 * 7; });
-    EXPECT_EQ(fut.get(), 42);
-}
-
-TEST(TaskScheduler, SubmitPropagatesExceptionThroughFuture)
-{
-    TaskScheduler sched(2);
-    auto fut = sched.submit(
-        []() -> int { throw std::logic_error("bad"); });
-    EXPECT_THROW(fut.get(), std::logic_error);
-}
-
-TEST(TaskScheduler, NestedSubmitFromWorkerCompletes)
-{
-    TaskScheduler sched(2);
-    auto outer = sched.submit([&]() {
-        EXPECT_TRUE(sched.onWorkerThread());
-        // A nested submit must not deadlock even with every other
-        // worker busy: the waiting worker helps (drains the task it
-        // just spawned — or anything else pending) instead of
-        // blocking the lane.
-        auto inner = sched.submit([&]() {
-            EXPECT_TRUE(sched.onWorkerThread());
-            return 99;
-        });
-        while (inner.wait_for(std::chrono::seconds(0)) !=
-               std::future_status::ready)
-            sched.helpOne();
-        return inner.get() + 1;
-    });
-    EXPECT_EQ(outer.get(), 100);
-}
-
 TEST(TaskScheduler, NestedParallelForRunsAsStealableTasks)
 {
     // The fixed-wave pool ran nested parallelFor serially to avoid
-    // deadlock; the work-stealing scheduler runs inner chunks as
-    // first-class tasks (LIFO on the spawning worker, stealable by
-    // idle ones). The observable contract is unchanged: every cell
+    // deadlock; the scheduler runs inner chunks as first-class queued
+    // tasks (the spawning joiner takes its own newest, idle workers
+    // the oldest). The observable contract is unchanged: every cell
     // written exactly once.
     TaskScheduler sched(4);
     std::vector<std::vector<int>> grid(8, std::vector<int>(8, 0));
@@ -144,25 +108,23 @@ TEST(TaskScheduler, CountersSeeTasksAndSteals)
 {
     TaskScheduler sched(4);
     std::atomic<int> sink{0};
-    // Rooted on a worker via submit().get(): an external joiner helps
-    // through the injection queue and on a small host can drain every
-    // chunk itself without any deque (or its depth counter) being
-    // touched.
+    // Width 4 cuts 256 indices into 32 chunks of 8: every chunk is
+    // one queued task, counted once whichever thread takes it.
     for (int round = 0; round < 8; ++round)
-        sched.submit([&] {
-                 sched.parallelFor(256, [&](std::size_t) {
-                     sink.fetch_add(1, std::memory_order_relaxed);
-                 });
-             })
-            .get();
+        sched.parallelFor(256, [&](std::size_t) {
+            sink.fetch_add(1, std::memory_order_relaxed);
+        });
+    EXPECT_EQ(sink.load(), 8 * 256);
     const auto s = sched.stats();
-    EXPECT_GT(s.tasksRun, 0u);
-    EXPECT_GT(s.maxDequeDepth, 0u);
-    // Steal counters are workload-dependent (a one-core host may
-    // finish chunks before anyone wakes to steal), so only their
-    // consistency is asserted here; the taskgraph stress suite
-    // exercises forced-steal storms.
-    EXPECT_GE(s.steals + s.stealFailures, 0u);
+    EXPECT_EQ(s.tasksRun, 8u * 32u);
+    EXPECT_GT(s.maxQueueDepth, 0u);
+    EXPECT_LE(s.maxQueueDepth, 32u);
+    // How many chunks ran off the spawning thread depends on the host
+    // (a one-core host may finish them before a worker wakes), so
+    // only the bounds are asserted here; the taskgraph stress suite
+    // forces work onto workers with stalls.
+    EXPECT_LE(s.steals, s.tasksRun);
+    EXPECT_EQ(s.stealFailures, 0u);
 }
 
 TEST(TaskScheduler, ConfiguredThreadsParsesEnv)

@@ -103,14 +103,13 @@ TEST(ParallelEquivalence, RunBatchMatchesSerialRunInference)
 
 TEST(ParallelEquivalence, NestedGridRunBatchMatchesSerial)
 {
-    // Three genuinely nested parallel levels on the work-stealing
-    // scheduler: an outer grid sweep (a local TaskScheduler at width
-    // 1, 2, and 4) whose every cell calls runBatch (the GLOBAL
-    // scheduler's pFor over items), whose every item fans out
-    // per-layer inside runInference. Under the fixed-wave pool the
-    // inner levels ran serially; now inner chunks are stealable
-    // tasks, and the contract is that none of it is observable:
-    // every width produces bit-identical results to a serial loop.
+    // Three genuinely nested parallel levels on the task scheduler:
+    // an outer grid sweep (a local TaskScheduler at width 1, 2, and
+    // 4) whose every cell calls runBatch (the GLOBAL scheduler's pFor
+    // over items), whose every item fans out per-layer inside
+    // runInference. Inner chunks are queued tasks that any thread may
+    // run, and the contract is that none of it is observable: every
+    // width produces bit-identical results to a serial loop.
     setInformEnabled(false);
     std::vector<std::vector<accel::BatchItem>> cells;
     for (const char *name : {"AlexNet", "MobileNet", "ResNet50"}) {

@@ -1,9 +1,10 @@
 /**
  * @file
- * Work-stealing scheduler stress suite: nested pFor spawned from
- * worker threads, steal storms under FaultInjector ILP stalls,
- * exception propagation out of stolen tasks, the serial-mode
- * contract, task-native trace context, and counter sanity. The
+ * Task scheduler stress suite: nested pFor spawned from worker
+ * threads, storms of tasks run off their spawner's thread under
+ * FaultInjector ILP stalls, exception propagation out of tasks run
+ * elsewhere, the helping join with every worker blocked, the
+ * serial-mode contract, task-native trace context, and counters. The
  * bit-identical serial/parallel contract over the real evaluation
  * engine lives in tests/test_parallel_equivalence.cc; this file
  * hammers the substrate itself.
@@ -13,7 +14,9 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -48,32 +51,27 @@ knapsack(int seed)
 
 TEST(TaskGraphStress, DeeplyNestedPForFromWorkersCoversEveryIndex)
 {
-    // Three levels of nesting, all spawned from worker threads: the
-    // inner chunks are pushed LIFO onto the spawning worker's deque
-    // and stolen by idle lanes. Every (i, j, k) cell must be hit
-    // exactly once no matter which thread ran which chunk. The whole
-    // graph is rooted through submit().get() so it runs on a WORKER
-    // (an external joiner helps through the injection queue and, on a
-    // small host, can otherwise drain everything itself without any
-    // deque ever being touched).
+    // Three levels of nesting: workers take the outer chunks, so the
+    // inner levels are spawned from worker threads, and every joiner
+    // helps with its own chunks first. Every (i, j, k) cell must be
+    // hit exactly once no matter which thread ran which chunk.
     TaskScheduler sched(4);
     constexpr std::size_t N = 6;
     std::vector<int> hits(N * N * N, 0);
-    sched.submit([&] {
-             sched.parallelFor(N, [&](std::size_t i) {
-                 sched.parallelFor(N, [&](std::size_t j) {
-                     sched.parallelFor(N, [&](std::size_t k) {
-                         hits[(i * N + j) * N + k]++;
-                     });
-                 });
-             });
-         })
-        .get();
+    sched.parallelFor(N, [&](std::size_t i) {
+        sched.parallelFor(N, [&](std::size_t j) {
+            sched.parallelFor(N, [&](std::size_t k) {
+                hits[(i * N + j) * N + k]++;
+            });
+        });
+    });
     for (std::size_t c = 0; c < hits.size(); ++c)
         EXPECT_EQ(hits[c], 1) << "cell " << c;
+    // Width 4 cuts a 6-index range into one chunk per index, so the
+    // graph is 6 + 36 + 216 tasks, each taken off the queue once.
     const auto s = sched.stats();
-    EXPECT_GT(s.tasksRun, 0u);
-    EXPECT_GT(s.maxDequeDepth, 0u);
+    EXPECT_EQ(s.tasksRun, N + N * N + N * N * N);
+    EXPECT_GT(s.maxQueueDepth, 0u);
 }
 
 TEST(TaskGraphStress, StealStormUnderIlpStallsStaysDeterministic)
@@ -86,40 +84,37 @@ TEST(TaskGraphStress, StealStormUnderIlpStallsStaysDeterministic)
         serial[t] = ilp::solve(knapsack(t)).objective;
 
     // Storm: every task runs the injector's ILP stall hook, so a
-    // worker mid-"solve" sleeps with its deque full of nested chunks
-    // and idle lanes sweep-steal them (the stall also yields the CPU,
-    // so thieves get scheduled even on a small host). The graph is
-    // rooted on a worker via submit().get(): stealable tasks only
-    // ever sit in worker deques, never just the injection queue.
+    // thread mid-"solve" sleeps with nested chunks queued behind it
+    // and idle workers take them (the stall also yields the CPU, so
+    // workers get scheduled even on a small host).
     FaultInjector::Config faults;
     faults.ilpStallMs = 0.5;
     FaultInjector::global().configure(faults);
     TaskScheduler sched(4);
     std::vector<double> stormy(kOuter * kInner);
-    sched.submit([&] {
-             sched.parallelFor(kOuter, [&](std::size_t i) {
-                 sched.parallelFor(kInner, [&](std::size_t j) {
-                     const int t = static_cast<int>(i * kInner + j);
-                     FaultInjector::global().onIlpSolve(); // stall
-                     stormy[t] = ilp::solve(knapsack(t)).objective;
-                 });
-             });
-         })
-        .get();
+    sched.parallelFor(kOuter, [&](std::size_t i) {
+        sched.parallelFor(kInner, [&](std::size_t j) {
+            const int t = static_cast<int>(i * kInner + j);
+            FaultInjector::global().onIlpSolve(); // stall
+            stormy[t] = ilp::solve(knapsack(t)).objective;
+        });
+    });
     FaultInjector::global().reset();
 
     EXPECT_EQ(serial, stormy); // bitwise: stalls must not leak in
     const auto s = sched.stats();
     EXPECT_GT(s.steals, 0u)
-        << "a stall storm on 4 lanes must provoke actual steals";
+        << "a stall storm on 4 lanes must run tasks off their spawner";
+    EXPECT_LE(s.steals, s.tasksRun);
+    EXPECT_EQ(s.stealFailures, 0u);
 }
 
 TEST(TaskGraphStress, ExceptionFromStolenTaskPropagatesToJoiner)
 {
     TaskScheduler sched(4);
-    // The throwing chunk sits behind sleepy siblings on worker
-    // deques, so it is routinely executed by a thief; wherever it
-    // ran, the joiner must observe the exception.
+    // The throwing chunk sits behind sleepy siblings in the queue, so
+    // it is routinely run by a thread other than its spawner's;
+    // wherever it ran, the joiner must observe the exception.
     for (int round = 0; round < 4; ++round) {
         std::atomic<int> ran{0};
         try {
@@ -180,7 +175,7 @@ TEST(TaskGraphStress, TraceContextFollowsTaskAcrossThreads)
 {
     // Contract 3: the spawner's ambient trace id is captured at
     // spawn and re-established around execution on WHICHEVER thread
-    // runs the task — workers and thieves included.
+    // runs the task — workers and helping joiners included.
     TaskScheduler sched(4);
     constexpr std::uint64_t kTrace = 0x5eed5eedull;
     std::vector<std::uint64_t> seen(128, 0);
@@ -195,53 +190,88 @@ TEST(TaskGraphStress, TraceContextFollowsTaskAcrossThreads)
         EXPECT_EQ(seen[i], kTrace) << "task " << i;
 }
 
+TEST(TaskGraphStress, JoinerRunsOwnTasksWhileEveryWorkerIsBlocked)
+{
+    // The helping join: with both workers of a width-2 scheduler held
+    // inside tasks blocked on a latch, another thread's parallelFor
+    // still completes, because its joiner runs its own group's queued
+    // tasks instead of waiting for a worker.
+    TaskScheduler sched(2);
+    std::mutex mu;
+    std::condition_variable cv;
+    int blocked = 0;
+    bool released = false;
+    TaskGroup blockers(sched);
+    for (int w = 0; w < 2; ++w)
+        blockers.run([&] {
+            std::unique_lock<std::mutex> lock(mu);
+            ++blocked;
+            cv.notify_all();
+            cv.wait(lock, [&] { return released; });
+        });
+    {
+        // Not helping yet, so only the two workers can take them.
+        std::unique_lock<std::mutex> lock(mu);
+        cv.wait(lock, [&] { return blocked == 2; });
+    }
+
+    std::vector<std::thread::id> ranOn(16);
+    std::thread::id joiner;
+    bool done = false;
+    std::thread other([&] {
+        joiner = std::this_thread::get_id();
+        sched.parallelFor(ranOn.size(), [&](std::size_t i) {
+            ranOn[i] = std::this_thread::get_id();
+        });
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
+        cv.notify_all();
+    });
+    {
+        // Bounded, so a broken join fails the test instead of hanging.
+        std::unique_lock<std::mutex> lock(mu);
+        EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(30),
+                                [&] { return done; }))
+            << "parallelFor stalled with every worker blocked";
+        released = true;
+        cv.notify_all();
+    }
+    other.join();
+    blockers.wait();
+    for (std::size_t i = 0; i < ranOn.size(); ++i)
+        EXPECT_EQ(ranOn[i], joiner) << "index " << i;
+}
+
 TEST(TaskGraphStress, SerialSchedulerRunsInlineInSpawnOrder)
 {
-    // SMART_THREADS=1 contract: width 1 spawns no workers; run(),
-    // submit(), and parallelFor all execute inline on the calling
-    // thread, in spawn order.
+    // SMART_THREADS=1 contract: width 1 spawns no workers; run() and
+    // parallelFor both execute inline on the calling thread, in spawn
+    // order.
     TaskScheduler sched(1);
     EXPECT_EQ(sched.size(), 1);
-    EXPECT_FALSE(sched.onWorkerThread());
+    const auto self = std::this_thread::get_id();
     std::vector<std::size_t> order;
-    sched.parallelFor(8, [&](std::size_t i) { order.push_back(i); });
+    sched.parallelFor(8, [&](std::size_t i) {
+        EXPECT_EQ(std::this_thread::get_id(), self);
+        order.push_back(i);
+    });
     ASSERT_EQ(order.size(), 8u);
     for (std::size_t i = 0; i < order.size(); ++i)
         EXPECT_EQ(order[i], i);
-    auto fut = sched.submit([] { return 5; });
-    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready);
-    EXPECT_EQ(fut.get(), 5);
+    order.clear();
+    TaskGroup group(sched);
+    for (std::size_t i = 0; i < 4; ++i)
+        group.run([&, i] {
+            EXPECT_EQ(std::this_thread::get_id(), self);
+            order.push_back(i);
+        });
+    EXPECT_EQ(order.size(), 4u); // already ran, before wait()
+    group.wait();
+    for (std::size_t i = 0; i < order.size(); ++i)
+        EXPECT_EQ(order[i], i);
     const auto s = sched.stats();
-    EXPECT_EQ(s.tasksRun, 0u); // nothing ever reached a deque
+    EXPECT_EQ(s.tasksRun, 0u); // nothing ever reached the queue
     EXPECT_EQ(s.steals, 0u);
-}
-
-TEST(TaskGraphStress, DetachedSubmitStormDrainsAndCounts)
-{
-    TaskScheduler sched(4);
-    constexpr int kTasks = 512;
-    std::atomic<int> done{0};
-    std::vector<std::future<int>> futs;
-    futs.reserve(kTasks);
-    for (int i = 0; i < kTasks; ++i)
-        futs.push_back(sched.submit([&done, i] {
-            done.fetch_add(1, std::memory_order_relaxed);
-            return i;
-        }));
-    for (int i = 0; i < kTasks; ++i)
-        EXPECT_EQ(futs[i].get(), i);
-    EXPECT_EQ(done.load(), kTasks);
-    // Every spawned task was executed and counted. The counter is
-    // bumped just after the task body, so the last future can become
-    // ready a hair before it settles — give it a moment.
-    for (int spin = 0;
-         spin < 2000 &&
-         sched.stats().tasksRun < static_cast<std::uint64_t>(kTasks);
-         ++spin)
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    EXPECT_EQ(sched.stats().tasksRun,
-              static_cast<std::uint64_t>(kTasks));
 }
 
 } // namespace
